@@ -14,18 +14,38 @@ The analytical model views the NoC as a network of M/G/1 queues -- one per
 The graph assigns every channel a dense integer index so the fixed-point
 solver can vectorise over numpy arrays, and translates
 :class:`~repro.routing.base.Route` objects into channel index sequences.
+
+The analytical model evaluates the same routes at every offered load, so
+:meth:`ChannelGraph.route_table` walks them once -- every unicast route
+and each source's multicast worms for one destination-set mapping -- and
+keeps the channel sequences as flat int32 arrays (:class:`RouteTable`).
+An evaluation is then a few numpy passes over the table.
 """
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.routing.base import MulticastRoute, Route, RoutingAlgorithm
 from repro.topology.base import Link, Topology
 
-__all__ = ["ChannelKind", "Channel", "ChannelGraph", "ONE_PORT_NAME"]
+__all__ = [
+    "ChannelKind",
+    "Channel",
+    "ChannelGraph",
+    "ONE_PORT_NAME",
+    "NEVER",
+    "RouteTable",
+    "WormTable",
+    "shared_channel_graph",
+]
 
 #: Port name used for every route when collapsing to a one-port router.
 ONE_PORT_NAME = "P0"
@@ -80,17 +100,28 @@ class ChannelGraph:
         self.routing = routing
         self.one_port = one_port
         self._channels: list[Channel] = []
-        self._index: dict[Channel, int] = {}
+        # one index per kind, keyed by Channel.key: lookups hash a plain
+        # tuple, not a Channel
+        self._index: dict[ChannelKind, dict[tuple, int]] = {k: {} for k in ChannelKind}
         self._build()
+        #: compiled route tables, keyed by destination-set content
+        self._tables: dict[tuple[tuple[int, tuple[int, ...]], ...], RouteTable] = {}
 
     # ------------------------------------------------------------------ #
     def _add(self, channel: Channel) -> int:
-        if channel in self._index:
+        index = self._index[channel.kind]
+        if channel.key in index:
             raise ValueError(f"duplicate channel {channel}")
         idx = len(self._channels)
         self._channels.append(channel)
-        self._index[channel] = idx
+        index[channel.key] = idx
         return idx
+
+    def _lookup(self, kind: ChannelKind, key: tuple) -> int:
+        try:
+            return self._index[kind][key]
+        except KeyError:
+            raise KeyError(f"unknown channel {Channel(kind, key)}") from None
 
     def _build(self) -> None:
         topo = self.topology
@@ -113,10 +144,7 @@ class ChannelGraph:
         return list(self._channels)
 
     def index_of(self, channel: Channel) -> int:
-        try:
-            return self._index[channel]
-        except KeyError:
-            raise KeyError(f"unknown channel {channel}") from None
+        return self._lookup(channel.kind, channel.key)
 
     def channel_at(self, idx: int) -> Channel:
         return self._channels[idx]
@@ -128,22 +156,20 @@ class ChannelGraph:
     def injection(self, node: int, port: str) -> int:
         if self.one_port:
             port = ONE_PORT_NAME
-        return self.index_of(Channel(ChannelKind.INJECTION, (node, port)))
+        return self._lookup(ChannelKind.INJECTION, (node, port))
 
     def network(self, link: Link) -> int:
-        return self.index_of(
-            Channel(ChannelKind.NETWORK, (link.src, link.dst, link.tag))
-        )
+        return self._lookup(ChannelKind.NETWORK, (link.src, link.dst, link.tag))
 
     def ejection(self, node: int, input_tag: str) -> int:
-        return self.index_of(Channel(ChannelKind.EJECTION, (node, input_tag)))
+        return self._lookup(ChannelKind.EJECTION, (node, input_tag))
 
     # -- route translation -------------------------------------------------
     def route_channels(self, route: Route) -> list[int]:
         """Channel index sequence of a unicast worm:
         ``[injection, network..., ejection-at-destination]``."""
         seq = [self.injection(route.source, route.port)]
-        seq.extend(self.network(link) for link in route.links)
+        seq.extend(map(self.network, route.links))
         seq.append(self.ejection(route.dest, route.links[-1].tag))
         return seq
 
@@ -151,7 +177,7 @@ class ChannelGraph:
         """Channels *held* by a multicast worm: injection + network links +
         the terminal ejection (at the last node, which is always a target)."""
         seq = [self.injection(route.source, route.port)]
-        seq.extend(self.network(link) for link in route.links)
+        seq.extend(map(self.network, route.links))
         seq.append(self.ejection(route.last_node, route.links[-1].tag))
         return seq
 
@@ -166,9 +192,249 @@ class ChannelGraph:
                 out.append((self.network(link), self.ejection(node, link.tag)))
         return out
 
+    def route_table(
+        self, multicast_sets: Optional[Mapping[int, frozenset[int]]] = None
+    ) -> RouteTable:
+        """Every unicast route, plus each source's multicast worms for
+        ``multicast_sets``, compiled once and cached by the sets' content.
+        Tables of one graph share their unicast arrays."""
+        key = tuple(
+            (s, tuple(sorted(d))) for s, d in sorted((multicast_sets or {}).items()) if d
+        )
+        table = self._tables.get(key)
+        if table is None:
+            base = self._tables.get(()) if key else None
+            if key and base is None:
+                base = self.route_table()
+            if len(self._tables) > _MAX_TABLES:
+                # keep the unicast-only table; drop the oldest set mapping
+                del self._tables[next(k for k in self._tables if k)]
+            table = self._tables[key] = RouteTable(self, key, base)
+        return table
+
     # -- reporting ---------------------------------------------------------
     def describe(self, idx: int) -> str:
         return str(self._channels[idx])
 
     def indices_of_kind(self, kind: ChannelKind) -> list[int]:
         return [i for i, c in enumerate(self._channels) if c.kind == kind]
+
+
+#: destination-set mappings a graph keeps compiled tables for
+_MAX_TABLES = 4
+
+
+@functools.lru_cache(maxsize=1)
+def shared_channel_graph(
+    topology: Topology, routing: RoutingAlgorithm, one_port: bool
+) -> ChannelGraph:
+    """The :class:`ChannelGraph` of a network, shared by the models of it.
+
+    Keyed by the topology and routing objects themselves, which the cache
+    holds.  It keeps only the latest network: the paper and occupancy
+    models of a panel are built back to back and so compile its routes
+    once, and an earlier network's tables do not outlive its models.
+    """
+    return ChannelGraph(topology, routing, one_port=one_port)
+
+
+#: first-use position of a channel pair no worm forwards over
+NEVER = np.iinfo(np.int64).max
+
+
+class WormTable:
+    """The channel sequences of a list of worms as flat int32 arrays.
+
+    ``channels`` holds every worm's channels, worm after worm; ``lengths``
+    the channel count of each worm; ``pairs`` the pair id (an index into
+    the owning :class:`RouteTable`'s pair arrays) of each consecutive
+    channel pair, worm after worm.
+    """
+
+    def __init__(
+        self, channels: NDArray[np.int32], lengths: NDArray[np.int32], pairs: NDArray[np.int32]
+    ) -> None:
+        self.channels = channels
+        self.lengths = lengths
+        self.pairs = pairs
+        starts = np.zeros(len(lengths), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        #: the first (injection) channel of every worm
+        self.first: NDArray[np.int32] = channels[starts]
+        # hop-major copy of ``pairs`` for path_sums: worms longest first,
+        # then pair k of every worm that has one, k = 0, 1, ...
+        self._order = np.argsort(-lengths, kind="stable").astype(np.int32)
+        self._first_by_length = self.first[self._order]
+        pair_starts = (starts - np.arange(len(lengths)))[self._order]
+        remaining = lengths[self._order] - 1
+        self._running: list[int] = []
+        self._hop_pairs = np.empty(len(pairs), dtype=np.int32)
+        filled = 0
+        for k in range(int(remaining.max(initial=0))):
+            running = int(np.count_nonzero(remaining > k))
+            self._running.append(running)
+            self._hop_pairs[filled:filled + running] = pairs[pair_starts[:running] + k]
+            filled += running
+
+    @property
+    def num_worms(self) -> int:
+        return len(self.lengths)
+
+    def path_sums(
+        self, head: NDArray[np.float64], per_pair: NDArray[np.float64]
+    ) -> NDArray[np.float64]:
+        """``head[c_0] + per_pair[p_1] + per_pair[p_2] + ...`` per worm.
+
+        Terms are added one hop at a time in path order, so every worm's
+        sum rounds exactly like a loop over its path (``np.sum`` would
+        add pairwise and round differently).
+        """
+        acc = head[self._first_by_length]
+        values = per_pair[self._hop_pairs]
+        start = 0
+        for running in self._running:
+            acc[:running] += values[start:start + running]
+            start += running
+        out = np.empty_like(acc)
+        out[self._order] = acc
+        return out
+
+
+class RouteTable:
+    """Every unicast route of a network, plus each source's multicast worms
+    for one destination-set mapping, compiled to int32 channel arrays.
+
+    Channel pairs ``(a, b)`` that some worm crosses -- forward transitions
+    and absorb-and-forward clones ``(network, ejection)`` -- get dense ids
+    in order of first appearance: ``pair_src[i], pair_dst[i]``.  Unicast
+    pairs come first and are shared by every table of the graph.
+
+    Unicast (ordered ``(s, t)``, ``s != t``, in ``s``-major order):
+    ``sources``, ``dests`` and their worms ``unicast``.
+
+    Multicast (sources ascending, each source's worms in routing order):
+    ``multicast`` worms; ``mc_sources`` and ``mc_groups`` (worm offsets per
+    source); ``mc_serial``, the number of earlier worms of the same
+    multicast on the worm's injection channel; ``mc_arrivals``, each
+    worm's channels followed by its clone ejections; ``mc_feeds``, each
+    worm's pair ids followed by its clone pair ids.
+    """
+
+    def __init__(
+        self,
+        graph: ChannelGraph,
+        multicast_sets: tuple[tuple[int, tuple[int, ...]], ...],
+        base: Optional[RouteTable] = None,
+    ) -> None:
+        self.num_nodes = graph.topology.num_nodes
+        routing = graph.routing
+        if base is None:
+            pair_ids: dict[tuple[int, int], int] = {}
+            first = array("q")  # unicast pair position of each pair's first use
+            sources, dests = np.nonzero(~np.eye(self.num_nodes, dtype=bool))
+            channels, lengths, pairs = _compile(
+                (
+                    graph.route_channels(routing.unicast_route(s, t))
+                    for s, t in zip(sources.tolist(), dests.tolist())
+                ),
+                pair_ids,
+                first,
+            )
+            self.sources = sources.astype(np.int32)
+            self.dests = dests.astype(np.int32)
+            self.unicast = WormTable(channels, lengths, pairs)
+            self._unicast_pairs = np.array(list(pair_ids), dtype=np.int32).reshape(-1, 2)
+            self._unicast_first = np.frombuffer(first, dtype=np.int64)
+        else:
+            self.sources, self.dests, self.unicast = base.sources, base.dests, base.unicast
+            self._unicast_pairs, self._unicast_first = base._unicast_pairs, base._unicast_first
+            pair_ids = {(a, b): i for i, (a, b) in enumerate(self._unicast_pairs.tolist())}
+
+        seqs: list[list[int]] = []
+        clones: list[list[tuple[int, int]]] = []
+        serial: list[int] = []
+        self.mc_sources: list[int] = []
+        self.mc_groups = [0]
+        for s, dests_s in multicast_sets:
+            on_channel: dict[int, int] = {}
+            for route in routing.multicast_routes(s, dests_s):
+                seq = graph.multicast_worm_channels(route)
+                seqs.append(seq)
+                clones.append(graph.multicast_clone_ejections(route))
+                serial.append(on_channel.get(seq[0], 0))
+                on_channel[seq[0]] = serial[-1] + 1
+            self.mc_sources.append(s)
+            self.mc_groups.append(len(seqs))
+        channels, lengths, pairs = _compile(seqs, pair_ids, array("q"))
+        self.multicast = WormTable(channels, lengths, pairs)
+        self.mc_serial = np.asarray(serial, dtype=np.int32)
+        # per worm: its channels (pair ids), then its clone ejections (pairs)
+        arrivals, feeds = array("i"), array("i")
+        start = 0
+        for seq, worm_clones in zip(seqs, clones):
+            arrivals.extend(seq)
+            feeds.extend(pairs[start:start + len(seq) - 1].tolist())
+            start += len(seq) - 1
+            for net, ej in worm_clones:
+                arrivals.append(ej)
+                feeds.append(pair_ids.setdefault((net, ej), len(pair_ids)))
+        self.mc_arrivals = np.frombuffer(arrivals, dtype=np.int32)
+        self.mc_feeds = np.frombuffer(feeds, dtype=np.int32)
+
+        all_pairs = np.array(list(pair_ids), dtype=np.int32).reshape(-1, 2)
+        self.pair_src = all_pairs[:, 0].copy()
+        self.pair_dst = all_pairs[:, 1].copy()
+        # forward first use of every pair, all worms carrying traffic
+        self._first_unicast = np.full(self.num_pairs, NEVER, dtype=np.int64)
+        self._first_unicast[: len(self._unicast_first)] = self._unicast_first
+        self._first_all = self._first_unicast.copy()
+        mc_positions = len(self.unicast.pairs) + np.arange(len(pairs), dtype=np.int64)
+        np.minimum.at(self._first_all, pairs, mc_positions)
+
+    @property
+    def num_pairs(self) -> int:
+        return len(self.pair_src)
+
+    def first_use(
+        self, unicast_active: NDArray[np.bool_], multicast_active: bool
+    ) -> NDArray[np.int64]:
+        """Position of every pair's first forward transition in the order
+        the flows accumulate (unicast routes, then multicast worms), over
+        the worms that carry traffic; :data:`NEVER` for pairs none of them
+        forwards over."""
+        if unicast_active.all():
+            return self._first_all if multicast_active else self._first_unicast
+        first = np.full(self.num_pairs, NEVER, dtype=np.int64)
+        hop_active = np.repeat(unicast_active, self.unicast.lengths - 1)
+        positions = np.flatnonzero(hop_active)
+        np.minimum.at(first, self.unicast.pairs[positions], positions)
+        if multicast_active:
+            mc = self.multicast.pairs
+            offset = len(self.unicast.pairs)
+            np.minimum.at(first, mc, offset + np.arange(len(mc), dtype=np.int64))
+        return first
+
+
+def _compile(
+    seqs: Iterable[Sequence[int]], pair_ids: dict[tuple[int, int], int], first: array
+) -> tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]]:
+    """Channel sequences as flat int32 arrays: channels, lengths and the id
+    of every consecutive channel pair.  Each sequence is copied in as it
+    arrives, so none outlives its turn; a pair seen for the first time
+    gets the next id in ``pair_ids`` and its position appended to
+    ``first``."""
+    channels, lengths, pairs = array("i"), array("i"), array("i")
+    for seq in seqs:
+        channels.extend(seq)
+        lengths.append(len(seq))
+        for pair in zip(seq, seq[1:]):
+            pid = pair_ids.get(pair)
+            if pid is None:
+                pid = pair_ids[pair] = len(pair_ids)
+                first.append(len(pairs))
+            pairs.append(pid)
+    return (
+        np.frombuffer(channels, dtype=np.int32),
+        np.frombuffer(lengths, dtype=np.int32),
+        np.frombuffer(pairs, dtype=np.int32),
+    )

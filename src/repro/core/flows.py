@@ -1,8 +1,8 @@
 """Per-channel traffic rates and forwarding structure (model inputs).
 
-Walks every unicast source/destination pair and every multicast worm of a
-:class:`TrafficSpec` through the routing algorithm and accumulates, per
-channel,
+Accumulates every unicast source/destination pair and every multicast
+worm of a :class:`TrafficSpec` -- read from the graph's compiled
+:class:`~repro.core.channel_graph.RouteTable` -- into, per channel,
 
 * the arrival rate ``lambda_i`` (messages/cycle),
 * the *forward* transition rates ``i -> j`` (the worm's own progression,
@@ -19,6 +19,12 @@ input never actually queues behind it -- the feed fraction is 1 and the
 discount zeroes the ejection waiting, matching the simulator's structural
 freedom from ejection blocking.
 
+Every sum is sequential, in the order a walk over the worms would add
+its terms (unicast routes ``s``-major, then multicast worms by source,
+each worm's clones after its own channels): ``np.bincount`` and
+``np.add.at`` add in index order, so the rates are bit-identical to that
+walk.
+
 Model assumptions (paper Section 2): Poisson generation, uniformly random
 unicast destinations, all messages the same length, deterministic routing.
 """
@@ -26,11 +32,12 @@ unicast destinations, all messages the same length, deterministic routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
+from numpy.typing import NDArray
 
-from repro.core.channel_graph import ChannelGraph
+from repro.core.channel_graph import NEVER, ChannelGraph, ChannelKind, RouteTable
 
 __all__ = ["TrafficSpec", "FlowAccumulator", "build_flows"]
 
@@ -106,7 +113,7 @@ class TrafficSpec:
             unicast_weights=self.unicast_weights,
         )
 
-    def destination_probabilities(self, source: int, num_nodes: int):
+    def destination_probabilities(self, source: int, num_nodes: int) -> NDArray[np.float64]:
         """Per-destination probability vector for ``source`` (numpy array
         of length ``num_nodes``; the source's own entry is 0)."""
         from repro.workloads.patterns import normalized_probabilities, uniform_weights
@@ -121,52 +128,87 @@ class TrafficSpec:
             )
         return normalized_probabilities(weights, source)
 
+    def pair_probabilities(self, table: RouteTable) -> NDArray[np.float64]:
+        """:meth:`destination_probabilities` of every unicast route of
+        ``table`` (source ``table.sources[k]`` to ``table.dests[k]``)."""
+        n = table.num_nodes
+        probs = np.array([self.destination_probabilities(s, n) for s in range(n)])
+        return np.asarray(probs[table.sources, table.dests], dtype=np.float64)
+
 
 class FlowAccumulator:
-    """Accumulated per-channel rates and transitions for one spec."""
+    """Per-channel rates and channel-pair transitions of one spec.
 
-    def __init__(self, graph: ChannelGraph):
+    ``unicast_rates[k]`` is the rate of the unicast route ``k`` of
+    ``table`` and ``multicast_rate`` that of every multicast worm; a worm
+    at rate zero carries nothing and is skipped.  Besides the read API
+    (:attr:`arrival_rate`, :meth:`forward_probabilities`, :attr:`feed`,
+    :meth:`feed_fraction`, :meth:`total_offered`) the accumulator holds
+    the arrays the model runs on: per channel pair of ``table`` the
+    forward rate, feed rate and Eq. 6 discount ``1 - feed fraction``
+    (``pair_*``), and the forward transitions as edges (``edge_*``),
+    ordered by source channel, then by first use -- the order the
+    service-time recursion sums them in.
+    """
+
+    def __init__(
+        self,
+        graph: ChannelGraph,
+        table: RouteTable,
+        unicast_rates: NDArray[np.float64],
+        multicast_rate: float,
+    ) -> None:
+        if np.any(unicast_rates < 0.0) or multicast_rate < 0.0:
+            raise ValueError("worm rates must be >= 0")
         self.graph = graph
+        self.table = table
         n = graph.num_channels
-        self.arrival_rate = np.zeros(n, dtype=float)
-        # sparse transition maps: index -> {next_index: rate}
-        self.forward: list[dict[int, float]] = [dict() for _ in range(n)]
-        self.feed: list[dict[int, float]] = [dict() for _ in range(n)]
+        uni, mc = table.unicast, table.multicast
+        hop_rates = np.repeat(unicast_rates, uni.lengths)
+        pair_rates = np.repeat(unicast_rates, uni.lengths - 1)
+        arrival = np.bincount(uni.channels, weights=hop_rates, minlength=n)
+        forward = np.bincount(uni.pairs, weights=pair_rates, minlength=table.num_pairs)
+        feed = forward.copy()
+        multicast_active = multicast_rate > 0.0 and mc.num_worms > 0
+        if multicast_active:
+            np.add.at(arrival, table.mc_arrivals, multicast_rate)
+            np.add.at(forward, mc.pairs, multicast_rate)
+            np.add.at(feed, table.mc_feeds, multicast_rate)
+        self.arrival_rate: NDArray[np.float64] = np.asarray(arrival, dtype=np.float64)
+        self.pair_forward: NDArray[np.float64] = np.asarray(forward, dtype=np.float64)
+        self.pair_feed: NDArray[np.float64] = np.asarray(feed, dtype=np.float64)
+        self.pair_discount = _discount(self.pair_feed, self.arrival_rate[table.pair_dst])
+
+        first = table.first_use(unicast_rates != 0.0, multicast_active)
+        used = np.flatnonzero(first != NEVER)
+        edges = used[np.lexsort((first[used], table.pair_src[used]))]
+        self.edge_src: NDArray[np.int32] = table.pair_src[edges]
+        self.edge_dst: NDArray[np.int32] = table.pair_dst[edges]
+        edge_rate = self.pair_forward[edges]
+        # sequential per source channel, in edge order
+        total = np.bincount(self.edge_src, weights=edge_rate, minlength=n)
+        self.edge_prob: NDArray[np.float64] = edge_rate / total[self.edge_src]
+        self.edge_discount: NDArray[np.float64] = self.pair_discount[edges]
+        self._feed: Optional[list[dict[int, float]]] = None
 
     # ------------------------------------------------------------------ #
-    def add_worm(self, channel_seq: Sequence[int], rate: float) -> None:
-        """Account a worm traversing ``channel_seq`` at ``rate``."""
-        if rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        if rate == 0.0:
-            return
-        for idx in channel_seq:
-            self.arrival_rate[idx] += rate
-        for a, b in zip(channel_seq, channel_seq[1:]):
-            self.forward[a][b] = self.forward[a].get(b, 0.0) + rate
-            self.feed[a][b] = self.feed[a].get(b, 0.0) + rate
+    @property
+    def feed(self) -> list[dict[int, float]]:
+        """``feed[i][j]``: the rate entering ``j`` that funnelled through
+        ``i`` (forward transitions plus absorb-and-forward clones)."""
+        if self._feed is None:
+            rows: list[dict[int, float]] = [{} for _ in range(self.graph.num_channels)]
+            pairs = zip(self.table.pair_src.tolist(), self.table.pair_dst.tolist())
+            for (i, j), rate in zip(pairs, self.pair_feed.tolist()):
+                if rate > 0.0:
+                    rows[i][j] = rate
+            self._feed = rows
+        return self._feed
 
-    def add_clone(self, network_channel: int, ejection_channel: int, rate: float) -> None:
-        """Account an absorb-and-forward clone: the ejection channel sees an
-        arrival that funnelled through ``network_channel``, but the worm's
-        forward progression is unchanged."""
-        if rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        if rate == 0.0:
-            return
-        self.arrival_rate[ejection_channel] += rate
-        self.feed[network_channel][ejection_channel] = (
-            self.feed[network_channel].get(ejection_channel, 0.0) + rate
-        )
-
-    # ------------------------------------------------------------------ #
     def forward_probabilities(self, idx: int) -> dict[int, float]:
         """``P_{i->j}`` normalised over the worm-progression transitions."""
-        trans = self.forward[idx]
-        total = sum(trans.values())
-        if total == 0.0:
-            return {}
-        return {j: r / total for j, r in trans.items()}
+        lo, hi = np.searchsorted(self.edge_src, [idx, idx + 1])
+        return dict(zip(self.edge_dst[lo:hi].tolist(), self.edge_prob[lo:hi].tolist()))
 
     def feed_fraction(self, idx: int, nxt: int) -> float:
         """Fraction of ``nxt``'s arrivals that funnel through ``idx``
@@ -178,12 +220,32 @@ class FlowAccumulator:
         # floating accumulation can overshoot 1 by an ulp
         return min(frac, 1.0)
 
+    def discounts(self, table: RouteTable) -> NDArray[np.float64]:
+        """``1 - feed_fraction`` for every channel pair of ``table``."""
+        if table is self.table:
+            return self.pair_discount
+        # another table of the network: find its pairs among ours
+        n = self.graph.num_channels
+        ours = self.table.pair_src.astype(np.int64) * n + self.table.pair_dst
+        order = np.argsort(ours)
+        keys = table.pair_src.astype(np.int64) * n + table.pair_dst
+        pos = np.minimum(np.searchsorted(ours[order], keys), len(ours) - 1)
+        hit = ours[order[pos]] == keys
+        feed = np.where(hit, self.pair_feed[order[pos]], 0.0)
+        return _discount(feed, self.arrival_rate[table.pair_dst])
+
     def total_offered(self) -> float:
         """Sum of injection-channel arrival rates (sanity metric)."""
-        from repro.core.channel_graph import ChannelKind
-
         inj = self.graph.indices_of_kind(ChannelKind.INJECTION)
         return float(self.arrival_rate[inj].sum())
+
+
+def _discount(feed: NDArray[np.float64], lam_next: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Vectorised ``1 - feed_fraction``: ``feed / lambda_next`` capped at
+    1, or 0 where the next channel carries nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(lam_next > 0.0, np.minimum(feed / lam_next, 1.0), 0.0)
+    return np.asarray(1.0 - frac, dtype=np.float64)
 
 
 def build_flows(graph: ChannelGraph, spec: TrafficSpec) -> FlowAccumulator:
@@ -195,27 +257,9 @@ def build_flows(graph: ChannelGraph, spec: TrafficSpec) -> FlowAccumulator:
     on each port whose quadrant contains targets, so each worm has the full
     multicast generation rate).
     """
-    topo = graph.topology
-    routing = graph.routing
-    n = topo.num_nodes
-    acc = FlowAccumulator(graph)
-
+    table = graph.route_table(spec.multicast_sets)
+    rates = np.zeros(len(table.sources))
     if spec.unicast_rate > 0.0:
-        for s in topo.nodes():
-            probs = spec.destination_probabilities(s, n)
-            for t in topo.nodes():
-                if s == t or probs[t] == 0.0:
-                    continue
-                route = routing.unicast_route(s, t)
-                acc.add_worm(graph.route_channels(route), spec.unicast_rate * probs[t])
-
-    lam_m = spec.multicast_rate
-    if lam_m > 0.0:
-        for s, dests in sorted(spec.multicast_sets.items()):
-            if not dests:
-                continue
-            for worm in routing.multicast_routes(s, sorted(dests)):
-                acc.add_worm(graph.multicast_worm_channels(worm), lam_m)
-                for net_ch, ej_ch in graph.multicast_clone_ejections(worm):
-                    acc.add_clone(net_ch, ej_ch, lam_m)
-    return acc
+        probs = spec.pair_probabilities(table)
+        rates = np.where(probs == 0.0, 0.0, spec.unicast_rate * probs)
+    return FlowAccumulator(graph, table, rates, spec.multicast_rate)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.channel_graph import ChannelGraph
+from repro.core.channel_graph import shared_channel_graph
 from repro.core.flows import TrafficSpec, build_flows
 from repro.core.multicast import average_multicast_latency, multicast_latency_naive
 from repro.core.service import ServiceTimeResult, solve_service_times
@@ -82,7 +82,8 @@ class AnalyticalModel:
     ):
         self.topology = topology
         self.routing = routing
-        self.graph = ChannelGraph(topology, routing, one_port=one_port)
+        # models of one network share its graph and compiled route tables
+        self.graph = shared_channel_graph(topology, routing, one_port)
         self.recursion = recursion
         self.expmax_method = expmax_method
 
@@ -156,16 +157,16 @@ class AnalyticalModel:
         max_iter: int = 60,
     ) -> float:
         """Largest per-node message rate the model deems stable (bisection
-        on the saturation flag)."""
+        on the saturation flag of the Eq. 6 fixed point; no latencies)."""
         if hi is None:
             # a generous upper bound: one message per message-length cycles
             hi = 4.0 / spec.message_length
-        if not self.evaluate(spec.with_rate(hi)).saturated:
+        if not self.solve(spec.with_rate(hi)).saturated:
             return hi
         lo_r, hi_r = lo, hi
         for _ in range(max_iter):
             mid = 0.5 * (lo_r + hi_r)
-            if self.evaluate(spec.with_rate(mid)).saturated:
+            if self.solve(spec.with_rate(mid)).saturated:
                 hi_r = mid
             else:
                 lo_r = mid

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.channel_graph import ChannelGraph
 from repro.core.expmax import expected_max_exponentials
 from repro.core.service import ServiceTimeResult
@@ -64,6 +66,23 @@ def _worm_waitings(
     return out
 
 
+def _rate(waiting: float) -> float:
+    """``mu`` of Eq. 8 for one worm's total waiting."""
+    if waiting <= 0.0:
+        return math.inf
+    if math.isinf(waiting):
+        return 0.0  # saturated worm: E[max] = inf
+    return 1.0 / waiting
+
+
+def _node_latency(
+    waitings: Sequence[float], hops: Sequence[int], message_length: int, method: str
+) -> float:
+    """``L_j`` (Eq. 14) from the node's per-worm waitings and hops."""
+    w_j = expected_max_exponentials([_rate(w) for w in waitings], method=method)
+    return w_j + message_length + max(hops) + LATENCY_CONSTANT
+
+
 def multicast_waiting_rates(
     graph: ChannelGraph,
     result: ServiceTimeResult,
@@ -72,15 +91,7 @@ def multicast_waiting_rates(
     """The exponential rates ``mu_{j,c}`` (Eq. 8): reciprocal total
     waiting per worm.  A worm that never waits maps to an infinite rate
     (it contributes zero to the maximum)."""
-    rates: list[float] = []
-    for waiting, _hops in _worm_waitings(graph, result, routes):
-        if waiting <= 0.0:
-            rates.append(math.inf)
-        elif math.isinf(waiting):
-            rates.append(0.0)  # saturated worm: E[max] = inf
-        else:
-            rates.append(1.0 / waiting)
-    return rates
+    return [_rate(waiting) for waiting, _hops in _worm_waitings(graph, result, routes)]
 
 
 def multicast_latency_at_node(
@@ -94,10 +105,9 @@ def multicast_latency_at_node(
     if not routes:
         raise ValueError("multicast needs at least one port worm")
     worms = _worm_waitings(graph, result, routes)
-    rates = multicast_waiting_rates(graph, result, routes)
-    w_j = expected_max_exponentials(rates, method=method)
-    d_j = max(hops for _w, hops in worms)
-    return w_j + result.message_length + d_j + LATENCY_CONSTANT
+    return _node_latency(
+        [w for w, _ in worms], [h for _, h in worms], result.message_length, method
+    )
 
 
 def multicast_latency_naive(
@@ -128,19 +138,27 @@ def average_multicast_latency(
 ) -> float:
     """Network-average multicast latency (Eq. 16) over the sources that
     actually multicast (sources with empty sets offer no multicast and are
-    excluded from the average, matching the simulator's sampling)."""
-    routing = graph.routing
+    excluded from the average, matching the simulator's sampling).
+
+    Reads every source's worms from the graph's route table; each worm's
+    waiting sums as :func:`_worm_waitings` would."""
+    table = graph.route_table(multicast_sets)
+    if not table.mc_sources:
+        raise ValueError("no node has a non-empty multicast destination set")
+    worms = table.multicast
+    waiting = worms.path_sums(result.waiting, result.discounted_waitings(table))
+    # serialised behind k earlier worms of the same multicast on the
+    # injection channel (see _worm_waitings)
+    serial = table.mc_serial
+    with np.errstate(invalid="ignore"):
+        charge = serial * result.mean_service[worms.first]
+    waiting = np.where(serial > 0, waiting + charge, waiting).tolist()
+    hops = (worms.lengths - 2).tolist()
     total = 0.0
-    count = 0
-    for node, dests in sorted(multicast_sets.items()):
-        if not dests:
-            continue
-        routes = routing.multicast_routes(node, sorted(dests))
-        lat = multicast_latency_at_node(graph, result, routes, method=method)
+    groups = table.mc_groups
+    for lo, hi in zip(groups, groups[1:]):
+        lat = _node_latency(waiting[lo:hi], hops[lo:hi], result.message_length, method)
         if math.isinf(lat):
             return math.inf
         total += lat
-        count += 1
-    if count == 0:
-        raise ValueError("no node has a non-empty multicast destination set")
-    return total / count
+    return total / len(table.mc_sources)

@@ -38,11 +38,14 @@ ablation benches quantify the difference against the simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from numpy.typing import NDArray
 
-from repro.core.channel_graph import ChannelGraph
+from repro.core.channel_graph import ChannelGraph, RouteTable
 from repro.core.flows import FlowAccumulator
 
 __all__ = ["SaturatedError", "ServiceTimeResult", "solve_service_times"]
@@ -51,7 +54,9 @@ __all__ = ["SaturatedError", "ServiceTimeResult", "solve_service_times"]
 class SaturatedError(RuntimeError):
     """Raised when the offered load saturates at least one channel."""
 
-    def __init__(self, message: str, *, channel: str | None = None, rho: float | None = None):
+    def __init__(
+        self, message: str, *, channel: Optional[str] = None, rho: Optional[float] = None
+    ) -> None:
         super().__init__(message)
         self.channel = channel
         self.rho = rho
@@ -64,9 +69,9 @@ class ServiceTimeResult:
     graph: ChannelGraph
     flows: FlowAccumulator
     message_length: int
-    mean_service: np.ndarray  #: x_i per channel (cycles)
-    waiting: np.ndarray  #: W_i per channel (cycles); inf where saturated
-    utilization: np.ndarray  #: rho_i per channel
+    mean_service: NDArray[np.float64]  #: x_i per channel (cycles)
+    waiting: NDArray[np.float64]  #: W_i per channel (cycles); inf where saturated
+    utilization: NDArray[np.float64]  #: rho_i per channel
     iterations: int
     converged: bool
     saturated: bool
@@ -89,18 +94,27 @@ class ServiceTimeResult:
             return 0.0
         return disc * float(w)
 
+    def discounted_waitings(self, table: RouteTable) -> NDArray[np.float64]:
+        """:meth:`discounted_waiting` for every channel pair of ``table``."""
+        disc = self.flows.discounts(table)
+        w = self.waiting[table.pair_dst]
+        with np.errstate(invalid="ignore"):
+            out = np.where((w == 0.0) | (disc == 0.0), 0.0, disc * w)
+        return np.asarray(out, dtype=np.float64)
 
-def _pk_waiting(lam: np.ndarray, x: np.ndarray, msg: float) -> np.ndarray:
-    """Vectorised Pollaczek-Khinchine (Eq. 3) with sigma = x - msg (Eq. 5)."""
+
+def _pk_waiting(
+    lam: NDArray[np.float64], busy: NDArray[np.bool_], x: NDArray[np.float64], msg: float
+) -> NDArray[np.float64]:
+    """Vectorised Pollaczek-Khinchine (Eq. 3) with sigma = x - msg (Eq. 5);
+    ``busy`` is ``lam > 0``.  Infinite where ``rho >= 1`` (also where
+    ``x`` is infinite: then ``rho`` is too)."""
     sigma = np.maximum(x - msg, 0.0)
     second_moment = x * x + sigma * sigma
     rho = lam * x
-    w = np.zeros_like(x)
-    busy = lam > 0.0
-    unsat = busy & (rho < 1.0) & np.isfinite(x)
-    w[unsat] = lam[unsat] * second_moment[unsat] / (2.0 * (1.0 - rho[unsat]))
-    w[busy & ~unsat] = np.inf
-    return w
+    unsat = busy & (rho < 1.0)
+    w = np.where(unsat, lam * second_moment / (2.0 * (1.0 - rho)), np.where(busy, np.inf, 0.0))
+    return np.asarray(w, dtype=np.float64)
 
 
 def solve_service_times(
@@ -132,59 +146,49 @@ def solve_service_times(
     msg = float(message_length)
     lam = flows.arrival_rate
 
-    # Flatten the sparse forward-transition structure into edge arrays.
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_p: list[float] = []
-    edge_disc: list[float] = []  # (1 - feed_fraction) per edge
-    has_forward = np.zeros(n, dtype=bool)
-    for i in range(n):
-        probs = flows.forward_probabilities(i)
-        if not probs:
-            continue
-        has_forward[i] = True
-        for j, p in probs.items():
-            edge_src.append(i)
-            edge_dst.append(j)
-            edge_p.append(p)
-            edge_disc.append(1.0 - flows.feed_fraction(i, j))
-    e_src = np.asarray(edge_src, dtype=int)
-    e_dst = np.asarray(edge_dst, dtype=int)
-    e_p = np.asarray(edge_p, dtype=float)
-    e_disc = np.asarray(edge_disc, dtype=float)
+    # the forward transitions as edge arrays, grouped by source channel
+    e_src = flows.edge_src
+    e_dst = flows.edge_dst
+    e_p = flows.edge_prob
+    e_disc = flows.edge_discount
 
     # Channels without forward transitions anchor at x = msg: ejection
     # channels structurally (sink absorbs 1 flit/cycle), unused channels
     # trivially (their value is never consumed by any flow).
-    anchored = ~has_forward
+    anchored = np.bincount(e_src, minlength=n) == 0
 
     hop_cost = 1.0 if recursion == "paper" else 0.0
     base = 0.0 if recursion == "paper" else msg
+    # x_new[i] = base + the contributions of i's edges in edge order (msg
+    # for anchored channels): one bincount over a leading entry per
+    # channel followed by the edges, which adds in exactly that order
+    targets = np.concatenate([np.arange(n), e_src])
+    terms = np.concatenate([np.where(anchored, msg, base), np.zeros(len(e_src))])
+    contrib = terms[n:]
+    fully_discounted = e_disc == 0.0
+    busy = lam > 0.0
     x = np.full(n, msg, dtype=float)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        w = _pk_waiting(lam, x, msg)
-        # a fully-discounted edge (feed fraction 1) contributes no waiting
-        # even when the downstream queue is saturated (W = inf): 0 * inf
-        with np.errstate(invalid="ignore"):
-            w_term = np.where(e_disc == 0.0, 0.0, e_disc * w[e_dst])
-        contrib = e_p * (w_term + (x[e_dst] - base) + hop_cost)
-        x_new = np.full(n, base, dtype=float)
-        np.add.at(x_new, e_src, contrib)
-        x_new[anchored] = msg
-        if np.any(~np.isfinite(x_new)):
-            # a saturated channel propagated inf upstream: diverged
-            x = x_new
-            break
-        delta = float(np.max(np.abs(x_new - x)))
-        x = damping * x_new + (1.0 - damping) * x
-        if delta < tol * max(1.0, msg):
-            converged = True
-            break
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, max_iterations + 1):
+            w = _pk_waiting(lam, busy, x, msg)
+            # a fully-discounted edge (feed fraction 1) contributes no waiting
+            # even when the downstream queue is saturated (W = inf): 0 * inf
+            w_term = np.where(fully_discounted, 0.0, e_disc * w[e_dst])
+            np.multiply(e_p, w_term + (x[e_dst] - base) + hop_cost, out=contrib)
+            x_new = np.bincount(targets, weights=terms, minlength=n)
+            delta = float(np.max(np.abs(x_new - x)))
+            if not math.isfinite(delta):
+                # a saturated channel propagated inf upstream: diverged
+                x = x_new
+                break
+            x = damping * x_new + (1.0 - damping) * x
+            if delta < tol * max(1.0, msg):
+                converged = True
+                break
 
-    w = _pk_waiting(lam, x, msg)
-    with np.errstate(invalid="ignore"):
+        w = _pk_waiting(lam, busy, x, msg)
         rho = np.where(np.isfinite(x), lam * x, np.inf)
         rho = np.where(lam == 0.0, 0.0, rho)
     saturated = bool(np.any(rho >= 1.0)) or bool(np.any(~np.isfinite(x)))

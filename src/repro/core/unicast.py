@@ -24,6 +24,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.core.channel_graph import ChannelGraph
 from repro.core.flows import TrafficSpec
 from repro.core.service import ServiceTimeResult
@@ -63,26 +66,27 @@ def average_unicast_latency(
     pairs.  With no ``spec`` (or a uniform one) every pair weighs equally
     (the paper's averaging); under a weighted destination distribution
     each pair weighs by its generation probability, matching what the
-    simulator's sample mean estimates."""
-    topo = graph.topology
-    routing = graph.routing
-    n = topo.num_nodes
-    total = 0.0
-    weight_sum = 0.0
-    for s in topo.nodes():
-        probs = None
-        if spec is not None and spec.unicast_weights is not None:
-            probs = spec.destination_probabilities(s, n)
-        for t in topo.nodes():
-            if s == t:
-                continue
-            w = 1.0 if probs is None else float(probs[t])
-            if w == 0.0:
-                continue
-            seq = graph.route_channels(routing.unicast_route(s, t))
-            lat = path_latency(result, seq)
-            if math.isinf(lat):
-                return math.inf
-            total += w * lat
-            weight_sum += w
-    return total / weight_sum
+    simulator's sample mean estimates.
+
+    Reads the routes from the graph's route table; every sum runs in the
+    order of a loop over the pairs (:func:`path_latency` per pair)."""
+    table = graph.route_table(spec.multicast_sets if spec is not None else None)
+    routes = table.unicast
+    if spec is not None and spec.unicast_weights is not None:
+        weights = spec.pair_probabilities(table)
+    else:
+        weights = np.ones(len(table.sources))
+    waiting = routes.path_sums(result.waiting, result.discounted_waitings(table))
+    hops = routes.lengths - 2  # network channels only
+    latency = waiting + result.message_length + hops + LATENCY_CONSTANT
+    used = weights != 0.0
+    latency, weights = latency[used], weights[used]
+    if np.isinf(latency).any():
+        return math.inf
+    return sequential_sum(weights * latency) / sequential_sum(weights)
+
+
+def sequential_sum(values: NDArray[np.float64]) -> float:
+    """``values[0] + values[1] + ...`` left to right, the rounding of a
+    Python loop (``np.sum`` adds pairwise and rounds differently)."""
+    return np.cumsum(values)[-1] if len(values) else 0.0

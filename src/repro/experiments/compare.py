@@ -182,7 +182,8 @@ def run_grid(
         return panels
 
     if adaptive is not None:
-        # model series first (cheap), then one shared controller whose
+        # every panel's model series first (in-process; not cheap, see
+        # the runner docstring), then one shared controller whose
         # round batches span every panel's still-running points
         base_tasks: list[SimTask] = []
         adaptive_owners: list[tuple[int, int]] = []

@@ -3,10 +3,14 @@
 The sweep is expressed as a list of picklable
 :class:`~repro.orchestration.tasks.SimTask` (one per offered-load point,
 :func:`sweep_tasks`) submitted to an
-:class:`~repro.orchestration.executor.Executor`; the model series is
-evaluated in-process (it is orders of magnitude cheaper than a
-simulation).  The default executor is serial and reproduces the
-historical single-loop behaviour bit for bit; a
+:class:`~repro.orchestration.executor.Executor`; the model series
+(:func:`model_sweep`) is evaluated in-process before the tasks are
+submitted.  It is not cheap: the saturation-rate bisection solves the
+Eq. 6 fixed point about twenty times, thousands of iterations each next
+to saturation, and on the N=64 benchmark panels the model series takes
+about twenty times as long as the panel's four 400-sample simulations
+(README "Performance").  The default executor is serial and reproduces
+the historical single-loop behaviour bit for bit; a
 :class:`~repro.orchestration.executor.ParallelExecutor` fans the points
 out across worker processes and yields the identical series, because
 every point's outcome depends only on its task content (builders, spec,
@@ -20,14 +24,17 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
+from repro.core.flows import TrafficSpec
 from repro.core.model import AnalyticalModel
 from repro.experiments.config import ExperimentConfig
 from repro.orchestration.executor import Executor, ResultStore, run_tasks
 from repro.orchestration.tasks import SimTask, TaskResult, spawn_seeds
+from repro.routing.base import RoutingAlgorithm
 from repro.sim.adaptive import AdaptivePoint, AdaptiveSettings, run_adaptive_tasks
 from repro.sim.network import SimConfig
+from repro.topology.base import Topology
 
 __all__ = [
     "SweepPoint",
@@ -36,6 +43,7 @@ __all__ = [
     "run_experiment",
     "sweep_tasks",
     "model_series",
+    "model_sweep",
     "budget_sim_config",
     "default_sim_config",
     "apply_task_result",
@@ -181,18 +189,35 @@ def model_series(
     """Evaluate both model recursions over the sweep: returns
     ``(saturation_rate, rates, points)`` with the sim fields unset."""
     topo, routing = config.build_network()
-    model_paper = AnalyticalModel(topo, routing, recursion="paper")
-    model_occ = AnalyticalModel(topo, routing, recursion="occupancy")
-    spec0 = config.base_spec(routing)
+    return model_sweep(
+        topo, routing, config.base_spec(routing),
+        load_fractions=config.load_fractions, rates=rates,
+    )
 
-    sat = model_occ.saturation_rate(spec0.with_rate(1e-6))
-    sweep = rates if rates is not None else [f * sat for f in config.load_fractions]
 
+def model_sweep(
+    topology: Topology,
+    routing: RoutingAlgorithm,
+    spec: TrafficSpec,
+    *,
+    load_fractions: Sequence[float],
+    rates: Optional[Sequence[float]] = None,
+) -> tuple[float, list[float], list[SweepPoint]]:
+    """Both model recursions over one sweep of ``spec``'s rate:
+    ``(saturation_rate, rates, points)`` with the sim fields unset.
+
+    The sweep is ``load_fractions`` of the occupancy recursion's
+    saturation rate unless explicit ``rates`` are given.  The two models
+    share the network's channel graph, so its routes compile once.
+    """
+    model_paper = AnalyticalModel(topology, routing, recursion="paper")
+    model_occ = AnalyticalModel(topology, routing, recursion="occupancy")
+    sat = model_occ.saturation_rate(spec.with_rate(1e-6))
+    sweep = list(rates) if rates is not None else [f * sat for f in load_fractions]
     points = []
     for rate in sweep:
-        spec = spec0.with_rate(rate)
-        mp = model_paper.evaluate(spec)
-        mo = model_occ.evaluate(spec)
+        mp = model_paper.evaluate(spec.with_rate(rate))
+        mo = model_occ.evaluate(spec.with_rate(rate))
         points.append(
             SweepPoint(
                 rate=rate,
@@ -202,7 +227,7 @@ def model_series(
                 model_occupancy_multicast=mo.multicast_latency,
             )
         )
-    return sat, list(sweep), points
+    return sat, sweep, points
 
 
 def sweep_tasks(

@@ -20,6 +20,7 @@ string surfaced in run provenance and ``python -m repro kernels``.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import os
 from typing import Optional
 
@@ -34,11 +35,16 @@ if os.environ.get("REPRO_NO_CEXT"):
     # extension at runtime, so the pure-Python story can be exercised
     # on any install (CI's compiler-free job sets it)
     _ERROR = "disabled by REPRO_NO_CEXT"
+elif importlib.util.find_spec("repro.sim._cstep") is None:
+    # no compiled module on the path: the normal compiler-free install.
+    # Importing it anyway would fail inside this package's own import and
+    # report a misleading "circular import".
+    _ERROR = "extension not built"
 else:
     try:
         from repro.sim import _cstep as _imported
     except ImportError as exc:  # pragma: no cover - exercised on built installs
-        _ERROR = f"extension not built ({exc})"
+        _ERROR = f"extension present but failed to import ({exc})"
 
 if _imported is not None:
     try:

@@ -41,12 +41,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.model import AnalyticalModel
 from repro.experiments.runner import (
     SweepPoint,
     apply_adaptive_point,
     apply_task_result,
     budget_sim_config,
+    model_sweep,
 )
 from repro.faults import FaultSpec, QoSClass, QoSSpec, link_heal, link_kill
 from repro.monitors import MONITORS
@@ -205,31 +205,11 @@ class Scenario:
         """
         probe = self.task(0.0, SimConfig())
         topo, routing = probe.build_network()
-        sets = probe.build_sets(routing)
-        spec0 = probe.build_spec(routing, sets=sets)
-        model_paper = AnalyticalModel(topo, routing, recursion="paper")
-        model_occ = AnalyticalModel(topo, routing, recursion="occupancy")
-        sat = model_occ.saturation_rate(spec0.with_rate(1e-6))
-        sweep = (
-            list(self.rates)
-            if self.rates
-            else [f * sat for f in self.load_fractions]
+        spec = probe.build_spec(routing, sets=probe.build_sets(routing))
+        return model_sweep(
+            topo, routing, spec,
+            load_fractions=self.load_fractions, rates=self.rates or None,
         )
-        points = []
-        for rate in sweep:
-            spec = spec0.with_rate(rate)
-            mp = model_paper.evaluate(spec)
-            mo = model_occ.evaluate(spec)
-            points.append(
-                SweepPoint(
-                    rate=rate,
-                    model_paper_unicast=mp.unicast_latency,
-                    model_paper_multicast=mp.multicast_latency,
-                    model_occupancy_unicast=mo.unicast_latency,
-                    model_occupancy_multicast=mo.multicast_latency,
-                )
-            )
-        return sat, sweep, points
 
     # ------------------------------------------------------------------ #
     def canonical(self) -> dict:

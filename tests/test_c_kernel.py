@@ -354,6 +354,62 @@ def test_c_kernel_status_reports_build():
         assert reason
 
 
+#: run ``python -m repro kernels`` after ``SETUP`` prepared the import system
+_KERNELS_CLI = (
+    "import sys\n{setup}\n"
+    "from repro.cli import main\n"
+    "sys.exit(main(['kernels']))\n"
+)
+
+#: a compiled module that is present but cannot load
+_BROKEN_EXTENSION = """
+import importlib.abc, importlib.machinery
+class _Broken(importlib.abc.Loader):
+    def create_module(self, spec):
+        return None
+    def exec_module(self, module):
+        raise ImportError("undefined symbol: PyBroken_Symbol")
+class _Finder(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "repro.sim._cstep":
+            return importlib.machinery.ModuleSpec(name, _Broken())
+        return None
+sys.meta_path.insert(0, _Finder())
+"""
+
+
+def _kernels_report(setup: str) -> str:
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env.pop("REPRO_NO_CEXT", None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNELS_CLI.format(setup=setup)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout + proc.stderr
+
+
+def test_kernels_cli_reports_unbuilt_extension_plainly():
+    """No compiled module at all: "extension not built", never the
+    misleading circular-import text the bare import used to produce."""
+    out = _kernels_report("sys.modules['repro.sim._cstep'] = None")
+    assert "circular import" not in out
+    assert "NOT built -- extension not built" in out
+
+
+def test_kernels_cli_keeps_the_real_import_error():
+    """A compiled module that exists but fails to load keeps its error."""
+    out = _kernels_report(_BROKEN_EXTENSION)
+    assert "circular import" not in out
+    assert "failed to import (undefined symbol: PyBroken_Symbol)" in out
+
+
 # --------------------------------------------------------------------- #
 # vectorized arrival mode: statistical contract, default untouched
 

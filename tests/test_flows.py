@@ -195,6 +195,11 @@ class TestMulticastFlows:
         topo, routing, graph = net16
         from repro.core.flows import FlowAccumulator
 
-        acc = FlowAccumulator(graph)
+        table = graph.route_table({0: frozenset({1, 9})})
+        rates = np.full(len(table.sources), 0.01)
+        FlowAccumulator(graph, table, rates, 0.01)
+        rates[5] = -0.1
         with pytest.raises(ValueError):
-            acc.add_worm([0, 1], -0.1)
+            FlowAccumulator(graph, table, rates, 0.01)
+        with pytest.raises(ValueError):
+            FlowAccumulator(graph, table, np.zeros(len(table.sources)), -0.1)
