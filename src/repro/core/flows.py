@@ -32,7 +32,7 @@ unicast destinations, all messages the same length, deterministic routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -144,11 +144,11 @@ class FlowAccumulator:
     at rate zero carries nothing and is skipped.  Besides the read API
     (:attr:`arrival_rate`, :meth:`forward_probabilities`, :attr:`feed`,
     :meth:`feed_fraction`, :meth:`total_offered`) the accumulator holds
-    the arrays the model runs on: per channel pair of ``table`` the
-    forward rate, feed rate and Eq. 6 discount ``1 - feed fraction``
-    (``pair_*``), and the forward transitions as edges (``edge_*``),
-    ordered by source channel, then by first use -- the order the
-    service-time recursion sums them in.
+    the arrays the model runs on: per channel pair of ``table`` the feed
+    rate and the Eq. 6 discount ``1 - feed fraction`` (``pair_*``), and
+    the forward transitions as edges (``edge_*``), ordered by source
+    channel, then by first use -- the order the service-time recursion
+    sums them in.
     """
 
     def __init__(
@@ -175,7 +175,6 @@ class FlowAccumulator:
             np.add.at(forward, mc.pairs, multicast_rate)
             np.add.at(feed, table.mc_feeds, multicast_rate)
         self.arrival_rate: NDArray[np.float64] = np.asarray(arrival, dtype=np.float64)
-        self.pair_forward: NDArray[np.float64] = np.asarray(forward, dtype=np.float64)
         self.pair_feed: NDArray[np.float64] = np.asarray(feed, dtype=np.float64)
         self.pair_discount = _discount(self.pair_feed, self.arrival_rate[table.pair_dst])
 
@@ -184,12 +183,12 @@ class FlowAccumulator:
         edges = used[np.lexsort((first[used], table.pair_src[used]))]
         self.edge_src: NDArray[np.int32] = table.pair_src[edges]
         self.edge_dst: NDArray[np.int32] = table.pair_dst[edges]
-        edge_rate = self.pair_forward[edges]
+        edge_rate = np.asarray(forward[edges], dtype=np.float64)
         # sequential per source channel, in edge order
         total = np.bincount(self.edge_src, weights=edge_rate, minlength=n)
         self.edge_prob: NDArray[np.float64] = edge_rate / total[self.edge_src]
         self.edge_discount: NDArray[np.float64] = self.pair_discount[edges]
-        self._feed: Optional[list[dict[int, float]]] = None
+        self._feed: list[dict[int, float]] | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -261,5 +260,6 @@ def build_flows(graph: ChannelGraph, spec: TrafficSpec) -> FlowAccumulator:
     rates = np.zeros(len(table.sources))
     if spec.unicast_rate > 0.0:
         probs = spec.pair_probabilities(table)
+        # a pair of probability zero carries nothing, whatever the rate
         rates = np.where(probs == 0.0, 0.0, spec.unicast_rate * probs)
     return FlowAccumulator(graph, table, rates, spec.multicast_rate)

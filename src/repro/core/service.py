@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,7 +54,7 @@ class SaturatedError(RuntimeError):
     """Raised when the offered load saturates at least one channel."""
 
     def __init__(
-        self, message: str, *, channel: Optional[str] = None, rho: Optional[float] = None
+        self, message: str, *, channel: str | None = None, rho: float | None = None
     ) -> None:
         super().__init__(message)
         self.channel = channel

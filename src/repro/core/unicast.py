@@ -83,10 +83,10 @@ def average_unicast_latency(
     latency, weights = latency[used], weights[used]
     if np.isinf(latency).any():
         return math.inf
-    return sequential_sum(weights * latency) / sequential_sum(weights)
+    return _sequential_sum(weights * latency) / _sequential_sum(weights)
 
 
-def sequential_sum(values: NDArray[np.float64]) -> float:
+def _sequential_sum(values: NDArray[np.float64]) -> float:
     """``values[0] + values[1] + ...`` left to right, the rounding of a
     Python loop (``np.sum`` adds pairwise and rounds differently)."""
     return np.cumsum(values)[-1] if len(values) else 0.0
