@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.core.flows import TrafficSpec
-from repro.core.model import AnalyticalModel
 from repro.routing.quarc import QuarcRouting
 from repro.sim.adaptive import AdaptiveSettings
 from repro.topology.quarc import QuarcTopology
@@ -85,12 +84,6 @@ class ExperimentConfig:
             message_length=self.message_length,
             multicast_sets=self.build_multicast_sets(routing),
         )
-
-    def sweep_rates(self, model: AnalyticalModel, spec: TrafficSpec) -> list[float]:
-        """Absolute per-node message rates at the configured load fractions
-        of the model's saturation point."""
-        sat = model.saturation_rate(spec.with_rate(1e-6))
-        return [f * sat for f in self.load_fractions]
 
     def scaled(self, **changes) -> "ExperimentConfig":
         return replace(self, **changes)

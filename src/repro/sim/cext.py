@@ -43,7 +43,7 @@ elif importlib.util.find_spec("repro.sim._cstep") is None:
 else:
     try:
         from repro.sim import _cstep as _imported
-    except ImportError as exc:  # pragma: no cover - exercised on built installs
+    except ImportError as exc:  # pragma: no cover - a present but broken build
         _ERROR = f"extension present but failed to import ({exc})"
 
 if _imported is not None:
