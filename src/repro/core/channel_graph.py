@@ -261,20 +261,9 @@ class WormTable:
         np.cumsum(lengths[:-1], out=starts[1:])
         #: the first (injection) channel of every worm
         self.first: NDArray[np.int32] = channels[starts]
-        # hop-major copy of ``pairs`` for path_sums: worms longest first,
-        # then pair k of every worm that has one, k = 0, 1, ...
-        self._order = np.argsort(-lengths, kind="stable").astype(np.int32)
-        self._first_by_length = self.first[self._order]
-        pair_starts = (starts - np.arange(len(lengths)))[self._order]
-        remaining = lengths[self._order] - 1
-        self._running: list[int] = []
-        self._hop_pairs = np.empty(len(pairs), dtype=np.int32)
-        filled = 0
-        for k in range(int(remaining.max(initial=0))):
-            running = int(np.count_nonzero(remaining > k))
-            self._running.append(running)
-            self._hop_pairs[filled:filled + running] = pairs[pair_starts[:running] + k]
-            filled += running
+        # path_sums bins: one leading entry per worm, then each pair's worm
+        worms = np.arange(len(lengths), dtype=np.int32)
+        self._bins = np.concatenate([worms, np.repeat(worms, lengths - 1)])
 
     @property
     def num_worms(self) -> int:
@@ -285,19 +274,13 @@ class WormTable:
     ) -> NDArray[np.float64]:
         """``head[c_0] + per_pair[p_1] + per_pair[p_2] + ...`` per worm.
 
-        Terms are added one hop at a time in path order, so every worm's
-        sum rounds exactly like a loop over its path (``np.sum`` would
-        add pairwise and round differently).
+        One bincount over every worm's head term followed by all pair
+        terms in path order: bincount adds in index order, so each worm's
+        sum rounds exactly like a loop over its path (``np.sum`` would add
+        pairwise and round differently).
         """
-        acc = head[self._first_by_length]
-        values = per_pair[self._hop_pairs]
-        start = 0
-        for running in self._running:
-            acc[:running] += values[start:start + running]
-            start += running
-        out = np.empty_like(acc)
-        out[self._order] = acc
-        return out
+        terms = np.concatenate([head[self.first], per_pair[self.pairs]])
+        return np.bincount(self._bins, weights=terms, minlength=self.num_worms)
 
 
 class RouteTable:
