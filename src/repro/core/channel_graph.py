@@ -41,7 +41,6 @@ __all__ = [
     "Channel",
     "ChannelGraph",
     "ONE_PORT_NAME",
-    "NEVER",
     "RouteTable",
     "WormTable",
     "shared_channel_graph",
@@ -238,10 +237,6 @@ def shared_channel_graph(
     return ChannelGraph(topology, routing, one_port=one_port)
 
 
-#: first-use position of a channel pair no worm forwards over
-NEVER = np.iinfo(np.int64).max
-
-
 class WormTable:
     """The channel sequences of a list of worms as flat int32 arrays.
 
@@ -313,7 +308,6 @@ class RouteTable:
         routing = graph.routing
         if base is None:
             pair_ids: dict[tuple[int, int], int] = {}
-            first = array("q")  # unicast pair position of each pair's first use
             sources, dests = np.nonzero(~np.eye(self.num_nodes, dtype=bool))
             channels, lengths, pairs = _compile(
                 (
@@ -321,16 +315,14 @@ class RouteTable:
                     for s, t in zip(sources.tolist(), dests.tolist())
                 ),
                 pair_ids,
-                first,
             )
             self.sources = sources.astype(np.int32)
             self.dests = dests.astype(np.int32)
             self.unicast = WormTable(channels, lengths, pairs)
             self._unicast_pairs = np.array(list(pair_ids), dtype=np.int32).reshape(-1, 2)
-            self._unicast_first = np.frombuffer(first, dtype=np.int64)
         else:
             self.sources, self.dests, self.unicast = base.sources, base.dests, base.unicast
-            self._unicast_pairs, self._unicast_first = base._unicast_pairs, base._unicast_first
+            self._unicast_pairs = base._unicast_pairs
             pair_ids = {(a, b): i for i, (a, b) in enumerate(self._unicast_pairs.tolist())}
 
         seqs: list[list[int]] = []
@@ -348,7 +340,7 @@ class RouteTable:
                 on_channel[seq[0]] = serial[-1] + 1
             self.mc_sources.append(s)
             self.mc_groups.append(len(seqs))
-        channels, lengths, pairs = _compile(seqs, pair_ids, array("q"))
+        channels, lengths, pairs = _compile(seqs, pair_ids)
         self.multicast = WormTable(channels, lengths, pairs)
         self.mc_serial = np.asarray(serial, dtype=np.int32)
         # per worm: its channels (pair ids), then its clone ejections (pairs)
@@ -367,45 +359,19 @@ class RouteTable:
         all_pairs = np.array(list(pair_ids), dtype=np.int32).reshape(-1, 2)
         self.pair_src = all_pairs[:, 0].copy()
         self.pair_dst = all_pairs[:, 1].copy()
-        # forward first use of every pair, all worms carrying traffic
-        self._first_unicast = np.full(self.num_pairs, NEVER, dtype=np.int64)
-        self._first_unicast[: len(self._unicast_first)] = self._unicast_first
-        self._first_all = self._first_unicast.copy()
-        mc_positions = len(self.unicast.pairs) + np.arange(len(pairs), dtype=np.int64)
-        np.minimum.at(self._first_all, pairs, mc_positions)
 
     @property
     def num_pairs(self) -> int:
         return len(self.pair_src)
 
-    def first_use(
-        self, unicast_active: NDArray[np.bool_], multicast_active: bool
-    ) -> NDArray[np.int64]:
-        """Position of every pair's first forward transition in the order
-        the flows accumulate (unicast routes, then multicast worms), over
-        the worms that carry traffic; :data:`NEVER` for pairs none of them
-        forwards over."""
-        if unicast_active.all():
-            return self._first_all if multicast_active else self._first_unicast
-        first = np.full(self.num_pairs, NEVER, dtype=np.int64)
-        hop_active = np.repeat(unicast_active, self.unicast.lengths - 1)
-        positions = np.flatnonzero(hop_active)
-        np.minimum.at(first, self.unicast.pairs[positions], positions)
-        if multicast_active:
-            mc = self.multicast.pairs
-            offset = len(self.unicast.pairs)
-            np.minimum.at(first, mc, offset + np.arange(len(mc), dtype=np.int64))
-        return first
-
 
 def _compile(
-    seqs: Iterable[Sequence[int]], pair_ids: dict[tuple[int, int], int], first: array
+    seqs: Iterable[Sequence[int]], pair_ids: dict[tuple[int, int], int]
 ) -> tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]]:
     """Channel sequences as flat int32 arrays: channels, lengths and the id
     of every consecutive channel pair.  Each sequence is copied in as it
     arrives, so none outlives its turn; a pair seen for the first time
-    gets the next id in ``pair_ids`` and its position appended to
-    ``first``."""
+    gets the next id in ``pair_ids``."""
     channels, lengths, pairs = array("i"), array("i"), array("i")
     for seq in seqs:
         channels.extend(seq)
@@ -414,7 +380,6 @@ def _compile(
             pid = pair_ids.get(pair)
             if pid is None:
                 pid = pair_ids[pair] = len(pair_ids)
-                first.append(len(pairs))
             pairs.append(pid)
     return (
         np.frombuffer(channels, dtype=np.int32),

@@ -37,9 +37,12 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.channel_graph import NEVER, ChannelGraph, ChannelKind, RouteTable
+from repro.core.channel_graph import ChannelGraph, ChannelKind, RouteTable
 
 __all__ = ["TrafficSpec", "FlowAccumulator", "build_flows"]
+
+#: first-use position of a channel pair no worm carrying traffic forwards over
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,15 @@ class FlowAccumulator:
         self.pair_feed: NDArray[np.float64] = np.asarray(feed, dtype=np.float64)
         self.pair_discount = _discount(self.pair_feed, self.arrival_rate[table.pair_dst])
 
-        first = table.first_use(unicast_rates != 0.0, multicast_active)
-        used = np.flatnonzero(first != NEVER)
+        # forward edges in the order the recursion sums them: by source
+        # channel, then by first use in the accumulation order above,
+        # among the worms that carry traffic
+        first = np.full(table.num_pairs, _NEVER, dtype=np.int64)
+        hops = np.flatnonzero(pair_rates != 0.0)
+        np.minimum.at(first, uni.pairs[hops], hops)
+        if multicast_active:
+            np.minimum.at(first, mc.pairs, len(uni.pairs) + np.arange(len(mc.pairs)))
+        used = np.flatnonzero(first != _NEVER)
         edges = used[np.lexsort((first[used], table.pair_src[used]))]
         self.edge_src: NDArray[np.int32] = table.pair_src[edges]
         self.edge_dst: NDArray[np.int32] = table.pair_dst[edges]
