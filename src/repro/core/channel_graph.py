@@ -319,11 +319,11 @@ class RouteTable:
             self.sources = sources.astype(np.int32)
             self.dests = dests.astype(np.int32)
             self.unicast = WormTable(channels, lengths, pairs)
-            self._unicast_pairs = np.array(list(pair_ids), dtype=np.int32).reshape(-1, 2)
         else:
+            # the graph's unicast-only table: share its arrays and pair ids
             self.sources, self.dests, self.unicast = base.sources, base.dests, base.unicast
-            self._unicast_pairs = base._unicast_pairs
-            pair_ids = {(a, b): i for i, (a, b) in enumerate(self._unicast_pairs.tolist())}
+            unicast_pairs = zip(base.pair_src.tolist(), base.pair_dst.tolist())
+            pair_ids = {pair: i for i, pair in enumerate(unicast_pairs)}
 
         seqs: list[list[int]] = []
         clones: list[list[tuple[int, int]]] = []
