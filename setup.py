@@ -1,15 +1,19 @@
 """Build script.  All metadata lives in pyproject.toml; this file exists
-only to declare the *optional* compiled dispatch fast path.
+only to declare the two *optional* C extensions:
 
-The C extension (repro.sim._cstep) is strictly an accelerator: the
-pure-Python kernels are the behavioural reference and every feature
-works without a compiler.  A failed compile therefore must never fail
-the install -- the custom build_ext below degrades any toolchain error
-to a warning, and repro.sim.cext reports the extension as unavailable
+* repro.sim._cstep -- the simulator's compiled dispatch fast path;
+* repro.core._eq6 -- the analytical model's Eq. 6 fixed-point loop.
+
+Both are strictly accelerators: the pure-Python kernels and the numpy
+fixed-point loop are the behavioural reference and every feature works
+without a compiler.  A failed compile therefore must never fail the
+install -- the custom build_ext below degrades any toolchain error to a
+warning naming the extension, and the module is reported unavailable
 at import time (surfaced by `python -m repro kernels`).
 
 Set REPRO_NO_CEXT=1 to skip the extension build entirely (used by CI's
-compiler-free job to prove the fallback story).
+compiler-free job to prove the fallback story); the same variable
+disables built extensions at runtime.
 """
 
 import os
@@ -27,19 +31,19 @@ class optional_build_ext(build_ext):
         try:
             super().run()
         except Exception as exc:  # noqa: BLE001 - any toolchain failure
-            self._skip(exc)
+            self._skip("C extensions", exc)
 
     def build_extension(self, ext):
         try:
             super().build_extension(ext)
         except Exception as exc:  # noqa: BLE001
-            self._skip(exc)
+            self._skip(f"{ext.name} extension", exc)
 
     @staticmethod
-    def _skip(exc):
+    def _skip(what, exc):
         print(
-            "warning: building the optional repro.sim._cstep accelerator "
-            f"failed ({exc!r}); continuing with the pure-Python kernels",
+            f"warning: building the optional {what} failed ({exc!r}); "
+            "continuing with the pure-Python code paths",
             file=sys.stderr,
         )
 
@@ -52,7 +56,14 @@ else:
             "repro.sim._cstep",
             sources=["src/repro/sim/_cstep.c"],
             optional=True,
-        )
+        ),
+        # no fused multiply-adds: the loop must round like the numpy one
+        Extension(
+            "repro.core._eq6",
+            sources=["src/repro/core/_eq6.c"],
+            extra_compile_args=["-ffp-contract=off"],
+            optional=True,
+        ),
     ]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

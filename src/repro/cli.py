@@ -870,6 +870,7 @@ def cmd_cache(args) -> int:
 
 
 def cmd_kernels(args) -> int:
+    from repro.core.service import native_fixed_point_status
     from repro.sim import (
         AUTO_KERNEL_DEPTH,
         AUTO_KERNEL_MIN_NODES,
@@ -914,6 +915,11 @@ def cmd_kernels(args) -> int:
         print(f'kernel="auto" repeat run: {shallow} below '
               f"{AUTO_KERNEL_DEPTH} observed pending events, {deep} at or above")
     print("all kernels are bit-identical; the choice only affects speed")
+    built, reason = native_fixed_point_status()
+    if built:
+        print("native Eq. 6 fixed point: built (bit-identical to the numpy loop)")
+    else:
+        print(f"native Eq. 6 fixed point: NOT built -- {reason}")
     return 0
 
 

@@ -11,8 +11,14 @@ absorbs one flit per cycle, so an ejection channel is occupied for exactly
 the message length).  ``W_j`` is the M/G/1 waiting time (Eq. 3) under the
 paper's variance convention (Eq. 5), which couples back to ``x_j`` -- on
 cyclic channel graphs (any ring/rim) the equations are mutually recursive,
-so we solve them by damped fixed-point iteration, vectorised over all
-channels.
+so we solve them by damped fixed-point iteration over all channels.
+
+The iteration runs in the optional C extension :mod:`repro.core._eq6`
+when it is built (``python -m repro kernels`` says whether it is), and
+otherwise in :func:`_fixed_point_numpy`.  The numpy loop is the
+reference: the compiled one repeats its arithmetic and summation order
+element by element, and ``tests/test_eq6_native.py`` compares the two
+bit for bit.
 
 Saturation: when any channel's utilisation ``rho = lambda * x`` reaches 1
 its waiting time diverges; the solver reports this via
@@ -40,14 +46,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.channel_graph import ChannelGraph, RouteTable
 from repro.core.flows import FlowAccumulator
+from repro.native import load_optional
 
-__all__ = ["SaturatedError", "ServiceTimeResult", "solve_service_times"]
+__all__ = [
+    "SaturatedError",
+    "ServiceTimeResult",
+    "native_fixed_point_status",
+    "solve_service_times",
+]
+
+_eq6, _EQ6_UNAVAILABLE = load_optional("repro.core._eq6")
+
+
+def native_fixed_point_status() -> tuple[bool, str | None]:
+    """``(built, reason_if_not)`` for the compiled Eq. 6 loop."""
+    return _eq6 is not None, _EQ6_UNAVAILABLE
 
 
 class SaturatedError(RuntimeError):
@@ -116,6 +136,67 @@ def _pk_waiting(
     return np.asarray(w, dtype=np.float64)
 
 
+def _fixed_point_numpy(
+    x: NDArray[Any],
+    lam: NDArray[np.float64],
+    e_src: NDArray[np.int32],
+    e_dst: NDArray[np.int32],
+    e_p: NDArray[np.float64],
+    e_disc: NDArray[np.float64],
+    msg: float,
+    base: float,
+    hop_cost: float,
+    tol: float,
+    max_iterations: int,
+    damping: float,
+) -> tuple[int, bool]:
+    """The damped Eq. 6 iteration in numpy, from the float64 iterate
+    ``x``: leaves the final iterate in ``x`` and returns ``(iterations,
+    converged)``.
+
+    Each channel's new value is ``base`` plus the contributions of its
+    forward edges, ``e_p * (discounted W + (x[dst] - base) + hop_cost)``
+    (``msg`` for channels without edges).  ``repro.core._eq6.
+    fixed_point`` takes the same arguments and reproduces this bit for
+    bit; this loop is its reference and the compiler-free path.
+    """
+    n = len(x)
+    out = x  # the loop rebinds x; its last value is copied back into out
+    # Channels without forward transitions anchor at x = msg: ejection
+    # channels structurally (sink absorbs 1 flit/cycle), unused channels
+    # trivially (their value is never consumed by any flow).
+    anchored = np.bincount(e_src, minlength=n) == 0
+    # x_new[i] = base + the contributions of i's edges in edge order (msg
+    # for anchored channels): one bincount over a leading entry per
+    # channel followed by the edges, which adds in exactly that order
+    targets = np.concatenate([np.arange(n), e_src])
+    terms = np.concatenate([np.where(anchored, msg, base), np.zeros(len(e_src))])
+    contrib = terms[n:]
+    fully_discounted = e_disc == 0.0
+    busy = lam > 0.0
+    converged = False
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, max_iterations + 1):
+            w = _pk_waiting(lam, busy, x, msg)
+            # a fully-discounted edge (feed fraction 1) contributes no waiting
+            # even when the downstream queue is saturated (W = inf): 0 * inf
+            w_term = np.where(fully_discounted, 0.0, e_disc * w[e_dst])
+            np.multiply(e_p, w_term + (x[e_dst] - base) + hop_cost, out=contrib)
+            x_new = np.bincount(targets, weights=terms, minlength=n)
+            delta = float(np.max(np.abs(x_new - x)))
+            if not math.isfinite(delta):
+                # a saturated channel propagated inf upstream: diverged
+                x = x_new
+                break
+            x = damping * x_new + (1.0 - damping) * x
+            if delta < tol * max(1.0, msg):
+                converged = True
+                break
+    out[...] = x
+    return iterations, converged
+
+
 def solve_service_times(
     graph: ChannelGraph,
     flows: FlowAccumulator,
@@ -141,53 +222,18 @@ def solve_service_times(
         raise ValueError(f"recursion must be 'paper' or 'occupancy', got {recursion!r}")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
-    n = graph.num_channels
     msg = float(message_length)
     lam = flows.arrival_rate
-
-    # the forward transitions as edge arrays, grouped by source channel
-    e_src = flows.edge_src
-    e_dst = flows.edge_dst
-    e_p = flows.edge_prob
-    e_disc = flows.edge_discount
-
-    # Channels without forward transitions anchor at x = msg: ejection
-    # channels structurally (sink absorbs 1 flit/cycle), unused channels
-    # trivially (their value is never consumed by any flow).
-    anchored = np.bincount(e_src, minlength=n) == 0
-
     hop_cost = 1.0 if recursion == "paper" else 0.0
     base = 0.0 if recursion == "paper" else msg
-    # x_new[i] = base + the contributions of i's edges in edge order (msg
-    # for anchored channels): one bincount over a leading entry per
-    # channel followed by the edges, which adds in exactly that order
-    targets = np.concatenate([np.arange(n), e_src])
-    terms = np.concatenate([np.where(anchored, msg, base), np.zeros(len(e_src))])
-    contrib = terms[n:]
-    fully_discounted = e_disc == 0.0
-    busy = lam > 0.0
-    x = np.full(n, msg, dtype=float)
-    converged = False
-    iterations = 0
+    x = np.full(graph.num_channels, msg, dtype=float)
+    fixed_point = _fixed_point_numpy if _eq6 is None else _eq6.fixed_point
+    iterations, converged = fixed_point(
+        x, lam, flows.edge_src, flows.edge_dst, flows.edge_prob, flows.edge_discount,
+        msg, base, hop_cost, tol, max_iterations, damping,
+    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for iterations in range(1, max_iterations + 1):
-            w = _pk_waiting(lam, busy, x, msg)
-            # a fully-discounted edge (feed fraction 1) contributes no waiting
-            # even when the downstream queue is saturated (W = inf): 0 * inf
-            w_term = np.where(fully_discounted, 0.0, e_disc * w[e_dst])
-            np.multiply(e_p, w_term + (x[e_dst] - base) + hop_cost, out=contrib)
-            x_new = np.bincount(targets, weights=terms, minlength=n)
-            delta = float(np.max(np.abs(x_new - x)))
-            if not math.isfinite(delta):
-                # a saturated channel propagated inf upstream: diverged
-                x = x_new
-                break
-            x = damping * x_new + (1.0 - damping) * x
-            if delta < tol * max(1.0, msg):
-                converged = True
-                break
-
-        w = _pk_waiting(lam, busy, x, msg)
+        w = _pk_waiting(lam, lam > 0.0, x, msg)
         rho = np.where(np.isfinite(x), lam * x, np.inf)
         rho = np.where(lam == 0.0, 0.0, rho)
     saturated = bool(np.any(rho >= 1.0)) or bool(np.any(~np.isfinite(x)))

@@ -202,16 +202,18 @@ def model_sweep(
     *,
     load_fractions: Sequence[float],
     rates: Optional[Sequence[float]] = None,
+    one_port: bool = False,
 ) -> tuple[float, list[float], list[SweepPoint]]:
     """Both model recursions over one sweep of ``spec``'s rate:
     ``(saturation_rate, rates, points)`` with the sim fields unset.
 
     The sweep is ``load_fractions`` of the occupancy recursion's
     saturation rate unless explicit ``rates`` are given.  The two models
-    share the network's channel graph, so its routes compile once.
+    share the network's channel graph, so its routes compile once;
+    ``one_port`` models a single injection channel per node.
     """
-    model_paper = AnalyticalModel(topology, routing, recursion="paper")
-    model_occ = AnalyticalModel(topology, routing, recursion="occupancy")
+    model_paper = AnalyticalModel(topology, routing, one_port=one_port, recursion="paper")
+    model_occ = AnalyticalModel(topology, routing, one_port=one_port, recursion="occupancy")
     sat = model_occ.saturation_rate(spec.with_rate(1e-6))
     sweep = list(rates) if rates is not None else [f * sat for f in load_fractions]
     points = []

@@ -8,43 +8,28 @@ and is therefore safe to drive; everything else asks :func:`available`
 / :func:`unavailable_reason` instead of importing :mod:`_cstep`
 directly.
 
-``configure`` hands the extension the actual :class:`~repro.sim.worm.
-Worm` and :class:`~repro.sim.engine.EventQueue` classes so it can
-resolve their ``__slots__`` member offsets at runtime -- the C code
-never hard-codes a struct layout, so an interpreter or class-layout
-change degrades to "extension unavailable" rather than corruption.  Any
-failure during import *or* configuration is recorded as the reason
-string surfaced in run provenance and ``python -m repro kernels``.
+The import itself goes through :func:`repro.native.load_optional`,
+shared with the model's compiled loop.  ``configure`` then hands the
+extension the actual :class:`~repro.sim.worm.Worm` and
+:class:`~repro.sim.engine.EventQueue` classes so it can resolve their
+``__slots__`` member offsets at runtime -- the C code never hard-codes a
+struct layout, so an interpreter or class-layout change degrades to
+"extension unavailable" rather than corruption.  Any failure during
+import *or* configuration is recorded as the reason string surfaced in
+run provenance and ``python -m repro kernels``.
 """
 
 from __future__ import annotations
 
 import heapq
-import importlib.util
-import os
 from typing import Optional
+
+from repro.native import load_optional
 
 __all__ = ["available", "unavailable_reason", "module"]
 
 _MOD = None
-_ERROR: Optional[str] = None
-
-_imported = None
-if os.environ.get("REPRO_NO_CEXT"):
-    # the same switch that skips the build also disables a built
-    # extension at runtime, so the pure-Python story can be exercised
-    # on any install (CI's compiler-free job sets it)
-    _ERROR = "disabled by REPRO_NO_CEXT"
-elif importlib.util.find_spec("repro.sim._cstep") is None:
-    # no compiled module on the path: the normal compiler-free install.
-    # Importing it anyway would fail inside this package's own import and
-    # report a misleading "circular import".
-    _ERROR = "extension not built"
-else:
-    try:
-        from repro.sim import _cstep as _imported
-    except ImportError as exc:  # pragma: no cover - a present but broken build
-        _ERROR = f"extension present but failed to import ({exc})"
+_imported, _ERROR = load_optional("repro.sim._cstep")
 
 if _imported is not None:
     try:

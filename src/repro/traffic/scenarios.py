@@ -192,8 +192,9 @@ class Scenario:
         ]
 
     def model_series(self) -> tuple[float, list[float], list[SweepPoint]]:
-        """Both analytical recursions over the scenario's grid:
-        ``(saturation_rate, rates, points)`` with sim fields unset.
+        """Both analytical recursions over the scenario's grid, on its
+        port model: ``(saturation_rate, rates, points)`` with sim fields
+        unset.
 
         The model always assumes Poisson timing -- that is the point:
         for a non-Poisson source the model series is the paper's
@@ -209,6 +210,7 @@ class Scenario:
         return model_sweep(
             topo, routing, spec,
             load_fractions=self.load_fractions, rates=self.rates or None,
+            one_port=self.one_port,
         )
 
     # ------------------------------------------------------------------ #

@@ -378,7 +378,7 @@ sys.meta_path.insert(0, _Finder())
 """
 
 
-def _kernels_report(setup: str) -> str:
+def _kernels_report(setup: str, *, no_cext: bool = False) -> str:
     import os
     import subprocess
     import sys
@@ -386,6 +386,8 @@ def _kernels_report(setup: str) -> str:
 
     env = dict(os.environ)
     env.pop("REPRO_NO_CEXT", None)
+    if no_cext:
+        env["REPRO_NO_CEXT"] = "1"
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _KERNELS_CLI.format(setup=setup)],

@@ -23,7 +23,7 @@ import pprint
 import numpy as np
 import pytest
 
-from repro.core import AnalyticalModel, TrafficSpec
+from repro.core import AnalyticalModel, TrafficSpec, service
 from repro.core.explain import explain_multicast
 from repro.experiments.config import paper_grid
 from repro.experiments.runner import model_series
@@ -482,3 +482,20 @@ def test_spec_series_bitwise(name):
 def test_explain_and_naive_bitwise(name):
     got = explained(name)
     assert _same(got, GOLDEN[f"{name}/explain"]), (got, GOLDEN[f"{name}/explain"])
+
+
+@pytest.fixture
+def numpy_loop(monkeypatch):
+    """Run the Eq. 6 fixed point on its numpy reference loop even where
+    the compiled one is built."""
+    if not service.native_fixed_point_status()[0]:
+        pytest.skip("the tests above already ran the numpy loop")
+    monkeypatch.setattr(service, "_eq6", None)
+
+
+def test_golden_on_the_numpy_loop(numpy_loop):
+    """The tests above ran the compiled loop where it is built; pin the
+    numpy loop too, so both paths are checked on every build."""
+    got = compute_golden()
+    for key, want in GOLDEN.items():
+        assert _same(got[key], want), (key, got[key], want)

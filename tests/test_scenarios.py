@@ -17,6 +17,7 @@ import warnings
 
 import pytest
 
+from repro.core import AnalyticalModel
 from repro.experiments.compare import (
     divergence_panels,
     render_divergence_summary,
@@ -324,6 +325,26 @@ class TestRunScenario:
         uniform = SCENARIOS["poisson-uniform"].model_series()
         hotspot = SCENARIOS["hotspot-poisson"].model_series()
         assert hotspot[0] != uniform[0]  # saturation rate shifts
+
+    def test_one_port_scenario_reaches_the_model(self):
+        """The model series of a one-port scenario is the one-port
+        model's, as its simulation is one-port."""
+        uniform = SCENARIOS["poisson-uniform"]
+        one_port = dataclasses.replace(uniform, one_port=True)
+        task = one_port.task(0.0, SimConfig())
+        topo, routing = task.build_network()
+        spec = task.build_spec(routing, sets=task.build_sets(routing))
+        model = AnalyticalModel(topo, routing, one_port=True, recursion="occupancy")
+        sat, rates, points = one_port.model_series()
+        assert sat == model.saturation_rate(spec.with_rate(1e-6))
+        multicast = [p.model_occupancy_multicast for p in points]
+        assert multicast == [model.evaluate(spec.with_rate(r)).multicast_latency for r in rates]
+        # on 16 nodes the rim saturates first, so only the latencies move
+        assert multicast != [p.model_occupancy_multicast for p in uniform.model_series()[2]]
+        # on 8 the single injection channel saturates first
+        small = dataclasses.replace(uniform, network_args=(8,))
+        small_one_port = dataclasses.replace(small, one_port=True)
+        assert small_one_port.model_series()[0] < small.model_series()[0]
 
     def test_cache_round_trip_is_bitwise(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
