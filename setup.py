@@ -11,6 +11,11 @@ install -- the custom build_ext below degrades any toolchain error to a
 warning naming the extension, and the module is reported unavailable
 at import time (surfaced by `python -m repro kernels`).
 
+repro.sim._cstep draws Poisson arrivals with numpy's own distribution
+functions, so building it needs numpy's headers and the static
+``libnpyrandom.a`` numpy ships under ``numpy/random/lib``; numpy is
+imported only when that extension is actually built.
+
 Set REPRO_NO_CEXT=1 to skip the extension build entirely (used by CI's
 compiler-free job to prove the fallback story); the same variable
 disables built extensions at runtime.
@@ -35,6 +40,8 @@ class optional_build_ext(build_ext):
 
     def build_extension(self, ext):
         try:
+            if ext.name == "repro.sim._cstep":
+                _link_npyrandom(ext)
             super().build_extension(ext)
         except Exception as exc:  # noqa: BLE001
             self._skip(f"{ext.name} extension", exc)
@@ -48,13 +55,31 @@ class optional_build_ext(build_ext):
         )
 
 
+def _link_npyrandom(ext):
+    """Point ``ext`` at numpy's headers and ``libnpyrandom.a``."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise RuntimeError(f"numpy is needed to build it ({exc})") from None
+    lib = os.path.join(os.path.dirname(numpy.__file__), "random", "lib")
+    if not os.path.exists(os.path.join(lib, "libnpyrandom.a")):
+        raise RuntimeError(f"numpy {numpy.__version__} ships no {lib}/libnpyrandom.a")
+    ext.include_dirs.append(numpy.get_include())
+    ext.library_dirs.append(lib)
+    ext.libraries.append("npyrandom")
+
+
 if os.environ.get("REPRO_NO_CEXT"):
     ext_modules = []
 else:
     ext_modules = [
+        # numpy's headers and libnpyrandom are added at build time
+        # (_link_npyrandom); no fused multiply-adds, so the latency
+        # statistics round like LatencyStats.add
         Extension(
             "repro.sim._cstep",
             sources=["src/repro/sim/_cstep.c"],
+            extra_compile_args=["-ffp-contract=off"],
             optional=True,
         ),
         # no fused multiply-adds: the loop must round like the numpy one

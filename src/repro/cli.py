@@ -106,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--recursion", choices=["paper", "occupancy"], default="occupancy",
             help="service-time recursion variant",
         )
-        p.add_argument(
-            "--arrival-mode", choices=["legacy", "vectorized"],
-            default="legacy",
-            help="simulator arrival generation: 'legacy' replays the "
-                 "frozen scalar draw order bit-exactly; 'vectorized' "
-                 "draws numpy blocks (faster, statistically identical, "
-                 "different sample path for a fixed seed)",
-        )
 
     def jobs_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", "-j", type=int, default=1,
@@ -231,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--samples", type=int, default=400,
                         help="unicast latency samples per point")
     p_grid.add_argument("--seed", type=int, default=2009)
-    p_grid.add_argument("--arrival-mode", choices=["legacy", "vectorized"],
-                        default="legacy",
-                        help="simulator arrival generation (see 'evaluate')")
     p_grid.add_argument("--no-sim", action="store_true", help="model series only")
     p_grid.add_argument("--save-dir", type=str, default=None, metavar="DIR",
                         help="save each panel's series as JSON under DIR")
@@ -263,10 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--points", type=int, default=None, metavar="K",
                         help="re-grid each scenario to K load fractions "
                              "spread up to 0.8 of saturation")
-    p_scen.add_argument("--arrival-mode", choices=["legacy", "vectorized"],
-                        default="legacy",
-                        help="arrival generation (Poisson sources only; "
-                             "non-Poisson sources require 'legacy')")
     p_scen.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
                         help="divergence verdict threshold (%% mean "
                              "unicast error, occupancy recursion)")
@@ -485,8 +470,7 @@ def cmd_evaluate(args) -> int:
             message_length=args.msg,
             sim=SimConfig(seed=args.seed, warmup_cycles=2_000,
                           target_unicast_samples=2_000,
-                          target_multicast_samples=300,
-                          arrival_mode=args.arrival_mode),
+                          target_multicast_samples=300),
             one_port=args.one_port,
             label=f"evaluate-N{args.nodes}",
         )
@@ -532,7 +516,6 @@ def cmd_sweep(args) -> int:
                 seed=args.seed,
                 samples=args.samples,
                 multicast_samples=max(100, args.samples // 6),
-                arrival_mode=args.arrival_mode,
             ),
             executor=executor,
             cache=cache,
@@ -609,9 +592,7 @@ def cmd_grid(args) -> int:
     configs = [
         c.scaled(load_fractions=fractions, adaptive=adaptive) for c in configs
     ]
-    sim_config = budget_sim_config(
-        seed=args.seed, samples=args.samples, arrival_mode=args.arrival_mode
-    )
+    sim_config = budget_sim_config(seed=args.seed, samples=args.samples)
     cache = _cache(args)
     lanes = f"workers={args.workers}" if args.workers else f"jobs={args.jobs}"
     n_points = len(configs) * args.points
@@ -758,7 +739,6 @@ def cmd_scenario(args) -> int:
                     executor=executor,
                     cache=cache,
                     adaptive=adaptive,
-                    arrival_mode=args.arrival_mode,
                 )
             )
     finally:
@@ -877,6 +857,7 @@ def cmd_kernels(args) -> int:
         ENGINE_VERSION,
         KERNELS,
         c_kernel_status,
+        cext,
         resolve_auto_kernel,
     )
 
@@ -896,8 +877,8 @@ def cmd_kernels(args) -> int:
               "(differentially checked against the pure-Python kernels)")
     else:
         print(f"compiled fast path: NOT built -- {reason}")
-        print("  build it with: pip install -e .   (a C compiler is all it needs;"
-              " a failed build degrades to the pure-Python kernels)")
+        print("  build it with: pip install -e .   (a C compiler and numpy are all"
+              " it needs; a failed build degrades to the pure-Python kernels)")
     if built:
         print('kernel="auto": always the compiled fast path (fastest in '
               "every measured regime)")
@@ -915,6 +896,8 @@ def cmd_kernels(args) -> int:
         print(f'kernel="auto" repeat run: {shallow} below '
               f"{AUTO_KERNEL_DEPTH} observed pending events, {deep} at or above")
     print("all kernels are bit-identical; the choice only affects speed")
+    reason = cext.native_arrivals_reason()
+    print("native Poisson arrivals: " + ("on" if reason is None else f"off -- {reason}"))
     built, reason = native_fixed_point_status()
     if built:
         print("native Eq. 6 fixed point: built (bit-identical to the numpy loop)")

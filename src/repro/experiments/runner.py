@@ -136,7 +136,6 @@ def budget_sim_config(
     samples: int,
     multicast_samples: Optional[int] = None,
     warmup_cycles: float = 2_000,
-    arrival_mode: str = "legacy",
 ) -> SimConfig:
     """The one sample-budget -> run-control path shared by the CLI, the
     grid driver and the studies: a single ``samples`` budget (measured
@@ -156,7 +155,6 @@ def budget_sim_config(
         warmup_cycles=warmup_cycles,
         target_unicast_samples=samples,
         target_multicast_samples=multicast_samples,
-        arrival_mode=arrival_mode,
     )
 
 

@@ -56,6 +56,13 @@ __all__ = [
     "task_result_from_dict",
 ]
 
+#: the ``sim`` entry every task key has always hashed: ``SimConfig`` once
+#: had an ``arrival_mode`` field, always ``"legacy"`` in practice, and
+#: dropping the entry would move every task key (the frozen key
+#: ``4a514e...`` of ``tests/test_traffic_refactor.py`` would become
+#: ``0e850d23...``) and strand every cached result
+_LEGACY_ARRIVAL_MODE = {"arrival_mode": "legacy"}
+
 #: topology family key -> (topology class, routing class); ``network_args``
 #: are the positional constructor arguments of the topology class.
 NETWORK_BUILDERS: dict[str, tuple[type, type]] = {
@@ -203,6 +210,7 @@ class SimTask:
         ``faults``/``qos`` of None and an empty ``monitors`` tuple are
         omitted the same way for the same reason."""
         d = dataclasses.asdict(self)
+        d["sim"].update(_LEGACY_ARRIVAL_MODE)
         # repro-lint: ok hash-coverage -- label is descriptive only; it must not split cache entries
         d.pop("label")
         # repro-lint: ok hash-coverage -- scenario is provenance; a rename must not split the cache

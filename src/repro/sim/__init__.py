@@ -22,12 +22,7 @@ from repro.sim.adaptive import (
     run_adaptive_tasks,
     stopping_decision,
 )
-from repro.sim.arrivals import (
-    ARRIVAL_MODES,
-    PoissonArrivalStream,
-    VectorizedPoissonArrivalStream,
-    make_arrival_stream,
-)
+from repro.sim.arrivals import PoissonArrivalStream
 from repro.sim.engine import ENGINE_VERSION, EventQueue, HeapEventQueue
 from repro.sim.measurement import LatencyStats
 from repro.sim.network import (
@@ -65,10 +60,7 @@ __all__ = [
     "HeapEventQueue",
     "HeapWormEngine",
     "KERNELS",
-    "ARRIVAL_MODES",
     "PoissonArrivalStream",
-    "VectorizedPoissonArrivalStream",
-    "make_arrival_stream",
     "Worm",
     "WormClass",
     "NocSimulator",

@@ -23,13 +23,20 @@
  *    event-budget local, the fast-forward interference limit).  Keep
  *    them in sync with wormengine.py.
  *
- * 3. PYTHON CALLOUTS FOR EVERYTHING COLD.  Arrival firing (and the worm
- *    spawning it triggers), EV_CALL payloads, segment refills, overflow
- *    heap pushes, deadlock recovery and the on_clone/on_complete hooks
- *    call back into Python.  The engine's _remaining/_arr_next window
- *    attrs are synced before any callout that can observe them, and
- *    re-read afterwards, at exactly the program points the Python loop
- *    reads its own attributes.
+ * 3. PYTHON CALLOUTS FOR EVERYTHING COLD.  The default Poisson arrivals
+ *    are the one hot path that leaves Python: the native PoissonStream
+ *    below draws them from the run's own numpy Generator (numpy's own
+ *    distribution functions through the bit generator's capsule, so
+ *    the draws are numpy's bits), and the loop builds and injects each
+ *    unicast worm and folds its completion into LatencyStats itself
+ *    when the run armed it (stock spawn closure, stock stats tracer).
+ *    Multicast and non-stock spawns, other arrival sources, EV_CALL
+ *    payloads, segment refills, overflow heap pushes, deadlock recovery
+ *    and the remaining on_clone/on_complete hooks call back into
+ *    Python.  The engine's _remaining/_arr_next window attrs are synced
+ *    before any callout that can observe them, and re-read afterwards,
+ *    at exactly the program points the Python loop reads its own
+ *    attributes.
  *
  * 4. BOUNCE WHAT YOU DO NOT MODEL.  Timestamps at or beyond 2^52 (where
  *    C double->int window arithmetic could diverge from Python's
@@ -45,6 +52,7 @@
 #include <Python.h>
 #include <structmember.h>
 #include <math.h>
+#include <numpy/random/distributions.h>
 
 /* int(t) and window arithmetic are exact below 2^52; past it, bounce. */
 #define TIME_MAX 4503599627370496.0
@@ -62,9 +70,18 @@ static long ev_request_c = 0, ev_release_c = 1, ev_inject_c = 2;
 static Py_ssize_t trim_len = 1024;
 static long long fifo_compact = 32;
 
+static PyObject *unicast_klass = NULL; /* WormClass.UNICAST */
+static PyTypeObject *stats_type = NULL; /* LatencyStats */
+
 /* Worm __slots__ offsets */
-static Py_ssize_t w_uid, w_ctime, w_path, w_H, w_acq, w_ptr, w_mlen,
-    w_clones, w_blocked, w_done;
+static Py_ssize_t w_uid, w_klass, w_source, w_ctime, w_path, w_H, w_acq,
+    w_ptr, w_mlen, w_clones, w_trans, w_blocked, w_done;
+/* LatencyStats __slots__ offsets */
+static Py_ssize_t ls_n, ls_mean, ls_m2, ls_min, ls_max, ls_samples, ls_keep;
+/* run state (repro.sim.network._RunState) __slots__ offsets, resolved
+ * by resolve_run_state for the type last used */
+static PyTypeObject *rs_type = NULL;
+static Py_ssize_t rs_warmup, rs_unicast, rs_completed, rs_generated;
 /* EventQueue __slots__ offsets */
 static Py_ssize_t q_next, q_run, q_idx, q_cov, q_buckets, q_span, q_mask,
     q_occ, q_overflow, q_seq, q_now;
@@ -313,6 +330,470 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
+/* native Poisson arrivals (repro.sim.arrivals.PoissonArrivalStream)   */
+
+static Py_ssize_t member_offset(PyTypeObject *tp, const char *name);
+
+/* one source head: the tuple (t, order, src, scale) of the Python heap;
+ * src is the node for a unicast source and ~node for a multicast one */
+typedef struct {
+    double t;
+    long long order;
+    long src;
+    double scale;
+} Head;
+
+/* repro.sim.arrivals.MULTICAST: the destination of a multicast arrival */
+#define MULTICAST_DEST (-1L)
+
+typedef struct {
+    PyObject_HEAD
+    double next_time;
+    bitgen_t *bitgen;        /* the run Generator's bit generator */
+    PyObject *bit_generator; /* owns *bitgen */
+    PyObject *spawn;         /* spawn(t, node, dest) */
+    Head *heads;
+    Py_ssize_t nheads;
+    long long order;
+    long n;
+    double *cdf;             /* n CDF rows of n, row-major; NULL: uniform */
+    /* native unicast spawn, armed by spawn_unicast(); routes NULL: off */
+    PyObject *routes;        /* list of n * n channel tuples or None */
+    PyObject *route_fill;    /* fill(node, dest) -> channel tuple */
+    PyObject *uids;          /* the run's uid iterator */
+    PyObject *msg_len;
+    PyObject *spawn_state;   /* run state whose `generated` counts */
+    /* run state whose unicast completions fold natively; NULL: off */
+    PyObject *stats_state;
+} PStream;
+
+static PyTypeObject PStream_Type;
+
+/* heapq's tuple order: orders are unique, so (t, order) decides */
+static inline int
+head_lt(const Head *a, const Head *b)
+{
+    if (a->t == b->t)
+        return a->order < b->order;
+    return a->t < b->t;
+}
+
+/* heapq._siftdown */
+static void
+heap_siftdown(Head *h, Py_ssize_t startpos, Py_ssize_t pos)
+{
+    Head newitem = h[pos];
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        if (head_lt(&newitem, &h[parentpos])) {
+            h[pos] = h[parentpos];
+            pos = parentpos;
+            continue;
+        }
+        break;
+    }
+    h[pos] = newitem;
+}
+
+/* heapq._siftup */
+static void
+heap_siftup(Head *h, Py_ssize_t endpos, Py_ssize_t pos)
+{
+    Py_ssize_t startpos = pos, childpos = 2 * pos + 1;
+    Head newitem = h[pos];
+    while (childpos < endpos) {
+        Py_ssize_t rightpos = childpos + 1;
+        if (rightpos < endpos && !head_lt(&h[childpos], &h[rightpos]))
+            childpos = rightpos;
+        h[pos] = h[childpos];
+        pos = childpos;
+        childpos = 2 * pos + 1;
+    }
+    h[pos] = newitem;
+    heap_siftdown(h, startpos, pos);
+}
+
+/* the destination draw of PoissonArrivalStream._refill: either
+ * int(rng.integers(0, n - 1)) and the self-exclusion shift, or
+ * min(int(np.searchsorted(cdfs[node], rng.random(), side="right")),
+ * n - 1) -- numpy's own draws, numpy's NaN-aware binary search */
+static long
+ps_draw_dest(PStream *s, long node)
+{
+    long n = s->n, dest;
+    if (s->cdf == NULL) {
+        uint64_t r;
+        /* Generator.integers(0, n - 1): off 0, closed range n - 2,
+         * Lemire rejection (use_masked=False) */
+        random_bounded_uint64_fill(s->bitgen, 0, (uint64_t)(n - 2), 1, false,
+                                   &r);
+        dest = (long)r;
+        if (dest >= node)
+            dest += 1;
+        return dest;
+    }
+    {
+        double r = random_standard_uniform(s->bitgen);
+        const double *a = s->cdf + (Py_ssize_t)node * n;
+        Py_ssize_t lo = 0, hi = n;
+        while (lo < hi) {
+            Py_ssize_t mid = lo + ((hi - lo) >> 1);
+            double v = a[mid];
+            /* side="right": step past every v <= r (npy's LT(r, v) is
+             * r < v, or v NaN and r not) */
+            if (!(r < v || (v != v && r == r)))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        dest = (long)lo;
+        return dest < n - 1 ? dest : n - 1;
+    }
+}
+
+/* Consume the head arrival: its destination draw (unicast), then its
+ * source's next gap, then heapreplace -- one step of _refill, taken at
+ * the moment the arrival fires.  The caller guarantees nheads > 0. */
+static void
+ps_pop(PStream *s, long *node, long *dest)
+{
+    Head *h = &s->heads[0];
+    if (h->src >= 0) {
+        *node = h->src;
+        *dest = ps_draw_dest(s, h->src);
+    }
+    else {
+        *node = ~h->src;
+        *dest = MULTICAST_DEST;
+    }
+    h->t = h->t + random_exponential(s->bitgen, h->scale);
+    h->order = s->order++;
+    heap_siftup(s->heads, s->nheads, 0);
+    s->next_time = s->heads[0].t;
+}
+
+static int
+ps_traverse(PStream *s, visitproc visit, void *arg)
+{
+    Py_VISIT(s->bit_generator);
+    Py_VISIT(s->spawn);
+    Py_VISIT(s->routes);
+    Py_VISIT(s->route_fill);
+    Py_VISIT(s->uids);
+    Py_VISIT(s->msg_len);
+    Py_VISIT(s->spawn_state);
+    Py_VISIT(s->stats_state);
+    return 0;
+}
+
+static int
+ps_clear(PStream *s)
+{
+    Py_CLEAR(s->bit_generator);
+    Py_CLEAR(s->spawn);
+    Py_CLEAR(s->routes);
+    Py_CLEAR(s->route_fill);
+    Py_CLEAR(s->uids);
+    Py_CLEAR(s->msg_len);
+    Py_CLEAR(s->spawn_state);
+    Py_CLEAR(s->stats_state);
+    s->bitgen = NULL;
+    return 0;
+}
+
+static void
+ps_dealloc(PStream *s)
+{
+    PyObject_GC_UnTrack(s);
+    ps_clear(s);
+    PyMem_Free(s->heads);
+    PyMem_Free(s->cdf);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+/* copy dest_cdfs[0:n] -- n float64 rows of n -- into one C array */
+static int
+ps_load_cdfs(PStream *s, PyObject *cdfs)
+{
+    PyObject *seq = PySequence_Fast(cdfs, "dest_cdfs must be a sequence");
+    Py_ssize_t r, n = s->n;
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) < n) {
+        PyErr_Format(PyExc_ValueError, "dest_cdfs needs %zd rows, got %zd",
+                     n, PySequence_Fast_GET_SIZE(seq));
+        goto fail;
+    }
+    s->cdf = PyMem_New(double, n * n > 0 ? n * n : 1);
+    if (s->cdf == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (r = 0; r < n; r++) {
+        Py_buffer v;
+        int ok;
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(seq, r), &v,
+                               PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+            goto fail;
+        ok = v.ndim == 1 && v.shape[0] == n && v.itemsize == sizeof(double) &&
+             v.format != NULL && strcmp(v.format, "d") == 0;
+        if (ok)
+            memcpy(s->cdf + r * n, v.buf, (size_t)n * sizeof(double));
+        PyBuffer_Release(&v);
+        if (!ok) {
+            PyErr_SetString(PyExc_TypeError,
+                            "dest_cdfs rows must be float64 arrays of "
+                            "num_nodes entries");
+            goto fail;
+        }
+    }
+    Py_DECREF(seq);
+    return 0;
+fail:
+    Py_DECREF(seq);
+    return -1;
+}
+
+/* PoissonStream(rng, num_nodes, unicast_rate, multicast_rate,
+ *               multicast_nodes, dest_cdfs, spawn) -- the constructor of
+ * PoissonArrivalStream: one initial gap per unicast node in node order,
+ * then one per multicast node in the given (sorted) order */
+static PyObject *
+ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"rng", "num_nodes", "unicast_rate",
+                             "multicast_rate", "multicast_nodes",
+                             "dest_cdfs", "spawn", NULL};
+    PyObject *rng, *mnodes, *cdfs, *spawn, *cap = NULL, *mseq = NULL;
+    long n;
+    double lam_u, lam_m;
+    Py_ssize_t nu, nm, k = 0, i;
+    PStream *s;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OlddOOO:PoissonStream",
+                                     kwlist, &rng, &n, &lam_u, &lam_m,
+                                     &mnodes, &cdfs, &spawn))
+        return NULL;
+    if (!PyCallable_Check(spawn)) {
+        PyErr_SetString(PyExc_TypeError, "spawn must be callable");
+        return NULL;
+    }
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "num_nodes must be >= 0");
+        return NULL;
+    }
+    mseq = PySequence_Fast(mnodes, "multicast_nodes must be a sequence");
+    if (mseq == NULL)
+        return NULL;
+    s = (PStream *)type->tp_alloc(type, 0);
+    if (s == NULL) {
+        Py_DECREF(mseq);
+        return NULL;
+    }
+    s->n = n;
+    s->next_time = INFINITY;
+    Py_INCREF(spawn);
+    s->spawn = spawn;
+    s->bit_generator = PyObject_GetAttrString(rng, "bit_generator");
+    if (s->bit_generator == NULL)
+        goto fail;
+    cap = PyObject_GetAttrString(s->bit_generator, "capsule");
+    if (cap == NULL)
+        goto fail;
+    s->bitgen = (bitgen_t *)PyCapsule_GetPointer(cap, "BitGenerator");
+    Py_DECREF(cap);
+    if (s->bitgen == NULL)
+        goto fail;
+    if (cdfs != Py_None && ps_load_cdfs(s, cdfs))
+        goto fail;
+
+    nu = lam_u > 0.0 ? (Py_ssize_t)n : 0;
+    nm = lam_m > 0.0 ? PySequence_Fast_GET_SIZE(mseq) : 0;
+    s->heads = PyMem_New(Head, nu + nm > 0 ? nu + nm : 1);
+    if (s->heads == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (nu) {
+        double scale = 1.0 / lam_u;
+        for (i = 0; i < nu; i++, k++) {
+            s->heads[k].t = random_exponential(s->bitgen, scale);
+            s->heads[k].order = k;
+            s->heads[k].src = (long)i;
+            s->heads[k].scale = scale;
+        }
+    }
+    if (nm) {
+        double scale = 1.0 / lam_m;
+        for (i = 0; i < nm; i++, k++) {
+            long node = PyLong_AsLong(PySequence_Fast_GET_ITEM(mseq, i));
+            if (node == -1 && PyErr_Occurred())
+                goto fail;
+            if (node < 0) { /* ~node must tag it as multicast */
+                PyErr_Format(PyExc_ValueError, "negative multicast node %ld",
+                             node);
+                goto fail;
+            }
+            s->heads[k].t = random_exponential(s->bitgen, scale);
+            s->heads[k].order = k;
+            s->heads[k].src = ~node;
+            s->heads[k].scale = scale;
+        }
+    }
+    if (nu && n < 2) {
+        /* what Generator.integers(0, n - 1) raises */
+        PyErr_SetString(PyExc_ValueError, "high <= 0");
+        goto fail;
+    }
+    s->nheads = k;
+    s->order = k;
+    for (i = k / 2 - 1; i >= 0; i--) /* heapq.heapify */
+        heap_siftup(s->heads, k, i);
+    if (k)
+        s->next_time = s->heads[0].t;
+    Py_DECREF(mseq);
+    return (PyObject *)s;
+fail:
+    Py_DECREF(mseq);
+    Py_DECREF(s);
+    return NULL;
+}
+
+/* fire(t) -> next_time: PoissonArrivalStream.fire -- advance first, then
+ * spawn(t, node, dest) in Python (the native loop spawns inline) */
+static PyObject *
+ps_fire(PStream *s, PyObject *targ)
+{
+    long node, dest;
+    PyObject *r;
+    if (s->nheads == 0 || s->bitgen == NULL) {
+        PyErr_SetString(PyExc_IndexError, "fire() on an exhausted stream");
+        return NULL;
+    }
+    ps_pop(s, &node, &dest);
+    r = PyObject_CallFunction(s->spawn, "Oll", targ, node, dest);
+    if (r == NULL)
+        return NULL;
+    Py_DECREF(r);
+    return PyFloat_FromDouble(s->next_time);
+}
+
+/* resolve the rs_* offsets for state's type (cached: one compare when
+ * the type is the one resolved last); every use of a run state calls it */
+static int
+resolve_run_state(PyObject *state)
+{
+    PyTypeObject *tp = Py_TYPE(state);
+    Py_ssize_t w, u, c, g;
+    if (tp == rs_type)
+        return 0;
+    if ((w = member_offset(tp, "warmup")) < 0 ||
+        (u = member_offset(tp, "unicast")) < 0 ||
+        (c = member_offset(tp, "completed")) < 0 ||
+        (g = member_offset(tp, "generated")) < 0)
+        return -1;
+    rs_warmup = w;
+    rs_unicast = u;
+    rs_completed = c;
+    rs_generated = g;
+    Py_INCREF(tp);
+    Py_XSETREF(rs_type, tp);
+    return 0;
+}
+
+/* spawn_unicast(routes, route_fill, uids, run_state, message_length):
+ * the native loop spawns unicast arrivals itself, exactly as the stock
+ * NocSimulator.run closure does */
+static PyObject *
+ps_spawn_unicast(PStream *s, PyObject *args)
+{
+    PyObject *routes, *fill, *uids, *state, *mlen;
+    if (!PyArg_ParseTuple(args, "O!OOOO:spawn_unicast", &PyList_Type,
+                          &routes, &fill, &uids, &state, &mlen))
+        return NULL;
+    if (PyList_GET_SIZE(routes) != (Py_ssize_t)s->n * s->n) {
+        PyErr_SetString(PyExc_ValueError, "routes needs num_nodes**2 slots");
+        return NULL;
+    }
+    if (!PyCallable_Check(fill) || !PyIter_Check(uids)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "route_fill must be callable and uids an iterator");
+        return NULL;
+    }
+    if (resolve_run_state(state))
+        return NULL;
+    Py_INCREF(routes);
+    Py_XSETREF(s->routes, routes);
+    Py_INCREF(fill);
+    Py_XSETREF(s->route_fill, fill);
+    Py_INCREF(uids);
+    Py_XSETREF(s->uids, uids);
+    Py_INCREF(state);
+    Py_XSETREF(s->spawn_state, state);
+    Py_INCREF(mlen);
+    Py_XSETREF(s->msg_len, mlen);
+    Py_RETURN_NONE;
+}
+
+/* fold_unicast_stats(run_state): unicast completions inside the native
+ * loop update run_state as the stock _StatsTracer.on_complete does */
+static PyObject *
+ps_fold_unicast_stats(PStream *s, PyObject *state)
+{
+    if (resolve_run_state(state))
+        return NULL;
+    Py_INCREF(state);
+    Py_XSETREF(s->stats_state, state);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ps_pending(PStream *s, void *closure)
+{
+    return PyBool_FromLong(s->nheads > 0);
+}
+
+static PyMethodDef ps_methods[] = {
+    {"fire", (PyCFunction)ps_fire, METH_O,
+     "fire(t) -> next_time\n\nConsume the next arrival and pass it to "
+     "spawn(t, node, dest)."},
+    {"spawn_unicast", (PyCFunction)ps_spawn_unicast, METH_VARARGS,
+     "spawn_unicast(routes, route_fill, uids, run_state, message_length)"
+     "\n\nSpawn unicast arrivals natively inside the dispatch loop."},
+    {"fold_unicast_stats", (PyCFunction)ps_fold_unicast_stats, METH_O,
+     "fold_unicast_stats(run_state)\n\nFold unicast completions inside "
+     "the dispatch loop into run_state's statistics natively."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef ps_members[] = {
+    {"next_time", T_DOUBLE, offsetof(PStream, next_time), READONLY,
+     "time of the next arrival (inf when there is none)"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyGetSetDef ps_getset[] = {
+    {"pending", (getter)ps_pending, NULL,
+     "True while the stream can still produce arrivals", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject PStream_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cstep.PoissonStream",
+    .tp_basicsize = sizeof(PStream),
+    .tp_dealloc = (destructor)ps_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Merged per-node Poisson arrivals drawn natively from the "
+              "run's numpy Generator, bit for bit as PoissonArrivalStream.",
+    .tp_traverse = (traverseproc)ps_traverse,
+    .tp_clear = (inquiry)ps_clear,
+    .tp_methods = ps_methods,
+    .tp_members = ps_members,
+    .tp_getset = ps_getset,
+    .tp_new = ps_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* run context                                                         */
 
 typedef struct {
@@ -326,6 +807,7 @@ typedef struct {
     PyObject *on_clone;   /* strong or NULL */
     PyObject *on_complete;/* strong or NULL */
     PyObject *arrivals;   /* strong or NULL */
+    PStream *ps;          /* arrivals when it is a native stream */
     long long span, qmask;
     double arr_next;      /* live mirror of engine._arr_next */
     double horizon;
@@ -445,6 +927,25 @@ decline_clear:
 decline:
     ctx_clear(c);
     return 1;
+}
+
+/* Take a reference to the run's arrival source (None: no arrivals).
+ *
+ * NATIVE_HEAD: with the native stream the live arrival head is read
+ * from the stream itself (c->ps->next_time), and the engine's _arr_next
+ * attr is not mirrored while the window runs: it only ever serves
+ * WormEngine._grant_fast, and every Python path into that refreshes it
+ * first (WormEngine.inject from arrivals.next_time, the Python loop at
+ * entry and after each fire), and the window's exit restores it. */
+static void
+ctx_set_arrivals(Ctx *c, PyObject *arrivals)
+{
+    if (arrivals == Py_None)
+        return;
+    Py_INCREF(arrivals);
+    c->arrivals = arrivals;
+    if (Py_TYPE(arrivals) == &PStream_Type)
+        c->ps = (PStream *)arrivals;
 }
 
 /* ------------------------------------------------------------------ */
@@ -847,6 +1348,126 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* completion statistics (repro.sim.network._StatsTracer)              */
+
+static int
+raise_sample_error(const char *fmt, double value)
+{
+    PyObject *v = PyFloat_FromDouble(value);
+    if (v == NULL)
+        return -1;
+    PyErr_Format(PyExc_ValueError, fmt, v);
+    Py_DECREF(v);
+    return -1;
+}
+
+/* LatencyStats.add: the Welford update, rounding step for step like the
+ * Python method (the module is built with -ffp-contract=off, so the m2
+ * update is never fused into one multiply-add) */
+static int
+stats_add(PyObject *st, double value)
+{
+    long long n;
+    double mean, m2, mn, mx, delta;
+    PyObject *keep, *samples;
+    int k;
+    if (!isfinite(value))
+        return raise_sample_error("latency sample must be finite, got %R",
+                                  value);
+    if (value < 0.0)
+        return raise_sample_error("latency sample must be >= 0, got %R",
+                                  value);
+    if (slot_get_ll(st, ls_n, &n) || slot_get_double(st, ls_mean, &mean) ||
+        slot_get_double(st, ls_m2, &m2) || slot_get_double(st, ls_min, &mn) ||
+        slot_get_double(st, ls_max, &mx))
+        return -1;
+    n += 1;
+    delta = value - mean;
+    mean += delta / (double)n;
+    m2 += delta * (value - mean);
+    if (value < mn) /* min(self._min, value) */
+        mn = value;
+    if (value > mx) /* max(self._max, value) */
+        mx = value;
+    if (slot_set_ll(st, ls_n, n) || slot_set_double(st, ls_mean, mean) ||
+        slot_set_double(st, ls_m2, m2) || slot_set_double(st, ls_min, mn) ||
+        slot_set_double(st, ls_max, mx))
+        return -1;
+    keep = slot_get(st, ls_keep);
+    samples = slot_get(st, ls_samples);
+    if (keep == NULL || samples == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "unset slot");
+        return -1;
+    }
+    k = PyObject_IsTrue(keep);
+    if (k <= 0)
+        return k;
+    if (!PyList_Check(samples)) {
+        PyErr_SetString(PyExc_TypeError, "LatencyStats._samples must be a list");
+        return -1;
+    }
+    {
+        PyObject *v = PyFloat_FromDouble(value);
+        if (v == NULL)
+            return -1;
+        k = PyList_Append(samples, v);
+        Py_DECREF(v);
+        return k;
+    }
+}
+
+/* tracer.on_complete(worm, t_done, False); a unicast worm folds natively
+ * when the run armed it -- _StatsTracer.on_complete transcribed */
+static int
+ctx_complete(Ctx *c, PyObject *worm, double t_done)
+{
+    PyObject *ct = slot_get(worm, w_ctime);
+    PyObject *state = c->ps != NULL ? c->ps->stats_state : NULL;
+    if (state != NULL && slot_get(worm, w_klass) == unicast_klass &&
+        ct != NULL && PyFloat_CheckExact(ct)) {
+        PyObject *warmup, *stats;
+        double ctime = PyFloat_AS_DOUBLE(ct);
+        long long completed;
+        int measured;
+        if (resolve_run_state(state))
+            return -1;
+        warmup = slot_get(state, rs_warmup);
+        if (warmup == NULL) {
+            PyErr_SetString(PyExc_AttributeError, "unset slot");
+            return -1;
+        }
+        if (PyFloat_CheckExact(warmup))
+            measured = ctime >= PyFloat_AS_DOUBLE(warmup);
+        else if ((measured = PyObject_RichCompareBool(ct, warmup, Py_GE)) < 0)
+            return -1;
+        if (slot_get_ll(state, rs_completed, &completed) ||
+            slot_set_ll(state, rs_completed, completed + 1))
+            return -1;
+        if (!measured)
+            return 0;
+        stats = slot_get(state, rs_unicast);
+        if (stats == NULL) {
+            PyErr_SetString(PyExc_AttributeError, "unset slot");
+            return -1;
+        }
+        if (Py_TYPE(stats) != stats_type) {
+            PyErr_SetString(PyExc_TypeError,
+                            "run state's unicast stats must be a LatencyStats");
+            return -1;
+        }
+        return stats_add(stats, t_done - ctime);
+    }
+    {
+        PyObject *r = PyObject_CallFunction(c->on_complete, "OdO", worm,
+                                            t_done, Py_False);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* engine mechanics                                                    */
 
 static int ctx_grant_fast(Ctx *c, PyObject *worm, long ch, double t);
@@ -923,13 +1544,8 @@ ctx_finish_routing(Ctx *c, PyObject *worm, double t)
     Py_DECREF(rec);
     if (eng_add_ll(c->engine, s_active_worms, -1))
         return -1;
-    if (c->on_complete != NULL) {
-        PyObject *r = PyObject_CallFunction(c->on_complete, "OdO", worm,
-                                            t + (double)m, Py_False);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-    }
+    if (c->on_complete != NULL && ctx_complete(c, worm, t + (double)m))
+        return -1;
     return 0;
 }
 
@@ -1046,14 +1662,9 @@ ctx_ballistic(Ctx *c, PyObject *worm, double t, long k0, long long total)
     if (eng_add_ll(c->engine, s_active_worms, -1))
         goto fail_path;
     if (c->on_complete != NULL) {
-        PyObject *r;
-        if (slot_set_double(c->events, q_now, t))
+        if (slot_set_double(c->events, q_now, t) ||
+            ctx_complete(c, worm, t + (double)m))
             goto fail_path;
-        r = PyObject_CallFunction(c->on_complete, "OdO", worm,
-                                  t + (double)m, Py_False);
-        if (r == NULL)
-            goto fail_path;
-        Py_DECREF(r);
     }
     tr = t + (double)(m + 1 - h);
     clones = slot_get(worm, w_clones);
@@ -1300,8 +1911,14 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
         return 0;
     if (c->arrivals != NULL) {
         /* refresh the cached arrival head (see WormEngine.inject) */
-        PyObject *nt = PyObject_GetAttr(c->arrivals, s_next_time);
+        PyObject *nt;
         double d;
+        if (c->ps != NULL) {
+            /* NATIVE_HEAD: read from the stream, attr not mirrored */
+            c->arr_next = c->ps->next_time;
+            goto requested;
+        }
+        nt = PyObject_GetAttr(c->arrivals, s_next_time);
         if (nt == NULL)
             return -1;
         d = PyFloat_AsDouble(nt);
@@ -1316,6 +1933,7 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
         Py_DECREF(nt);
         c->arr_next = d;
     }
+requested:
     if (eng_add_ll(c->engine, s_active_worms, 1))
         return -1;
     /* _request */
@@ -1336,6 +1954,125 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
         return fast ? ctx_grant_fast(c, worm, ch, t)
                     : ctx_grant_slow(c, worm, ch, t);
     return ctx_block(c, worm, ch, t);
+}
+
+/* a fresh Worm(uid, UNICAST, node, t, path, message_length), slot by
+ * slot as Worm.__init__ fills them; steals uid and path */
+static PyObject *
+worm_new_unicast(PyObject *uid, long node, double t, PyObject *path,
+                 PyObject *mlen)
+{
+    PyObject *w = worm_type->tp_alloc(worm_type, 0);
+    if (w == NULL) {
+        Py_DECREF(uid);
+        Py_DECREF(path);
+        return NULL;
+    }
+    if (slot_set_steal(w, w_uid, uid) ||
+        slot_set(w, w_klass, unicast_klass) ||
+        slot_set_steal(w, w_source, PyLong_FromLong(node)) ||
+        slot_set_double(w, w_ctime, t)) {
+        Py_DECREF(path);
+        goto fail;
+    }
+    if (slot_set_steal(w, w_path, path) ||
+        slot_set_steal(w, w_H, PyLong_FromSsize_t(PyTuple_GET_SIZE(path))) ||
+        slot_set_steal(w, w_acq, PyList_New(0)) ||
+        slot_set_steal(w, w_ptr, PyLong_FromLong(0)) ||
+        slot_set(w, w_mlen, mlen) ||
+        slot_set_steal(w, w_clones, PyTuple_New(0)) ||
+        slot_set(w, w_trans, Py_None) || slot_set(w, w_blocked, Py_None) ||
+        slot_set(w, w_done, Py_False))
+        goto fail;
+    return w;
+fail:
+    Py_DECREF(w);
+    return NULL;
+}
+
+/* the stock NocSimulator.run spawn closure for a unicast arrival:
+ * state.generated += 1; Worm(next_uid(), UNICAST, node, t,
+ * sim._unicast_channels(node, dest), msg_len); engine.inject(worm, t) */
+static int
+ctx_spawn_unicast(Ctx *c, double t, long node, long dest)
+{
+    PStream *s = c->ps;
+    PyObject *uid, *path, *worm, *routes = s->routes;
+    Py_ssize_t idx = (Py_ssize_t)node * s->n + dest;
+    long long generated;
+    int rc;
+    if (resolve_run_state(s->spawn_state) ||
+        slot_get_ll(s->spawn_state, rs_generated, &generated) ||
+        slot_set_ll(s->spawn_state, rs_generated, generated + 1))
+        return -1;
+    uid = PyIter_Next(s->uids);
+    if (uid == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "uid iterator exhausted");
+        return -1;
+    }
+    Py_INCREF(routes); /* the fill below may rebind s->routes */
+    if (idx < 0 || idx >= PyList_GET_SIZE(routes)) {
+        PyErr_SetString(PyExc_IndexError, "route table too short");
+        goto fail;
+    }
+    path = PyList_GET_ITEM(routes, idx);
+    if (path == Py_None) { /* first use of this pair: fill the table */
+        path = PyObject_CallFunction(s->route_fill, "ll", node, dest);
+        if (path == NULL)
+            goto fail;
+        if (!PyTuple_CheckExact(path)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "route_fill must return a tuple of channels");
+            Py_DECREF(path);
+            goto fail;
+        }
+        Py_INCREF(path);
+        if (PyList_SetItem(routes, idx, path) < 0) {
+            Py_DECREF(path);
+            goto fail;
+        }
+    }
+    else if (PyTuple_CheckExact(path))
+        Py_INCREF(path);
+    else {
+        PyErr_SetString(PyExc_TypeError, "route table entry is not a tuple");
+        goto fail;
+    }
+    Py_DECREF(routes);
+    if (PyTuple_GET_SIZE(path) < 2) { /* Worm.__init__'s check */
+        PyErr_SetString(PyExc_ValueError,
+                        "a worm path needs at least injection + ejection");
+        Py_DECREF(path);
+        Py_DECREF(uid);
+        return -1;
+    }
+    worm = worm_new_unicast(uid, node, t, path, s->msg_len);
+    if (worm == NULL)
+        return -1;
+    rc = ctx_inject(c, worm, t, 1);
+    Py_DECREF(worm);
+    return rc;
+fail:
+    Py_DECREF(routes);
+    Py_DECREF(uid);
+    return -1;
+}
+
+/* cstep_inject's ctx_init declines a queue whose coverage or sequence
+ * counter is past what C models; the inline spawn must decline alike */
+static int
+ctx_injectable(Ctx *c, int *ok)
+{
+    long long cov, seq;
+    if (slot_get_ll(c->events, q_cov, &cov) ||
+        slot_get_ll(c->events, q_seq, &seq)) {
+        PyErr_Clear();
+        *ok = 0;
+        return 0;
+    }
+    *ok = cov >= 0 && cov <= COV_MAX && seq >= 0 && seq <= SEQ_MAX;
+    return 0;
 }
 
 /* the inline EV_RELEASE drain chain of WormEngine.run_events */
@@ -1514,11 +2251,10 @@ cstep_run_events(PyObject *self, PyObject *args)
         Py_DECREF(nt);
         if (arr_t == -1.0 && PyErr_Occurred())
             goto fail;
-        Py_INCREF(arrivals_obj);
-        c.arrivals = arrivals_obj;
     }
     else
         arr_t = INFINITY;
+    ctx_set_arrivals(&c, arrivals_obj);
     {
         PyObject *a = PyFloat_FromDouble(arr_t);
         if (a == NULL || PyObject_SetAttr(engine, s_arr_next, a)) {
@@ -1740,6 +2476,35 @@ cstep_run_events(PyObject *self, PyObject *args)
             if (slot_set_double(c.events, q_now, arr_t))
                 goto fail;
             c.remaining -= 1;
+            if (c.ps != NULL) {
+                /* the native stream: PoissonArrivalStream.fire inline --
+                 * advance, then spawn (natively for an armed unicast) */
+                long node, dest;
+                int inline_ok = 0;
+                ps_pop(c.ps, &node, &dest);
+                if (dest != MULTICAST_DEST && c.ps->routes != NULL &&
+                    ctx_injectable(&c, &inline_ok))
+                    goto fail;
+                if (inline_ok) {
+                    if (ctx_spawn_unicast(&c, arr_t, node, dest))
+                        goto fail;
+                }
+                else {
+                    if (eng_set_ll(engine, s_remaining, c.remaining))
+                        goto fail;
+                    res = PyObject_CallFunction(c.ps->spawn, "dll", arr_t,
+                                                node, dest);
+                    if (res == NULL)
+                        goto fail;
+                    Py_DECREF(res);
+                    if (eng_get_ll(engine, s_remaining, &c.remaining))
+                        goto fail;
+                }
+                /* NATIVE_HEAD: the engine's _arr_next attr is left as
+                 * it is -- see the note at ctx_set_arrivals */
+                arr_t = c.arr_next = c.ps->next_time;
+                continue;
+            }
             if (eng_set_ll(engine, s_remaining, c.remaining))
                 goto fail;
             targ = PyFloat_FromDouble(arr_t);
@@ -1772,12 +2537,23 @@ cstep_run_events(PyObject *self, PyObject *args)
     /* fall through to restore (the Python loop's finally block) */
 fail:
     if (prev_rem != NULL) {
-        /* restore even on error; chain any restore failure */
+        /* restore even on error.  The error in flight is parked while
+         * the attrs are set: a type-cache miss inside PyObject_SetAttr
+         * would otherwise clear it (_PyType_Lookup treats any pending
+         * error as its own), turning it into a SystemError.  A restore
+         * failure replaces a result, never an error already raised. */
+        PyObject *et, *ev, *etb;
+        PyErr_Fetch(&et, &ev, &etb);
         if (PyObject_SetAttr(engine, s_arrivals, prev_arr) ||
             PyObject_SetAttr(engine, s_arr_next, prev_arrn) ||
             PyObject_SetAttr(engine, s_horizon, prev_hor) ||
-            PyObject_SetAttr(engine, s_remaining, prev_rem))
+            PyObject_SetAttr(engine, s_remaining, prev_rem)) {
             Py_CLEAR(result);
+            if (et != NULL)
+                PyErr_Clear();
+        }
+        if (et != NULL)
+            PyErr_Restore(et, ev, etb);
     }
 fail_no_restore:
     Py_XDECREF(prev_rem);
@@ -1838,10 +2614,8 @@ cstep_inject(PyObject *self, PyObject *args)
     arr = PyObject_GetAttr(engine, s_arrivals);
     if (arr == NULL)
         goto err;
-    if (arr == Py_None)
-        Py_DECREF(arr);
-    else
-        c.arrivals = arr;
+    ctx_set_arrivals(&c, arr);
+    Py_DECREF(arr);
 
     rc = ctx_inject(&c, worm, t, fast);
     if (rc == 0 && eng_set_ll(engine, s_remaining, c.remaining))
@@ -1885,16 +2659,17 @@ member_offset(PyTypeObject *tp, const char *name)
 static PyObject *
 cstep_configure(PyObject *self, PyObject *args)
 {
-    PyObject *wt, *qt, *hp;
+    PyObject *wt, *qt, *hp, *uk, *st;
     long evq, evr, evi;
     Py_ssize_t trim;
     long long compact;
-    if (!PyArg_ParseTuple(args, "OOOlllnL:configure", &wt, &qt, &hp, &evq,
-                          &evr, &evi, &trim, &compact))
+    if (!PyArg_ParseTuple(args, "OOOlllnLOO:configure", &wt, &qt, &hp, &evq,
+                          &evr, &evi, &trim, &compact, &uk, &st))
         return NULL;
-    if (!PyType_Check(wt) || !PyType_Check(qt)) {
+    if (!PyType_Check(wt) || !PyType_Check(qt) || !PyType_Check(st)) {
         PyErr_SetString(PyExc_TypeError,
-                        "configure() wants (WormType, QueueType, ...)");
+                        "configure() wants (WormType, QueueType, ..., "
+                        "unicast, StatsType)");
         return NULL;
     }
     if (!PyCallable_Check(hp)) {
@@ -1915,8 +2690,16 @@ cstep_configure(PyObject *self, PyObject *args)
         if (var < 0)                                                      \
             return NULL;                                                  \
     } while (0)
+#define S_OFF(var, name)                                                  \
+    do {                                                                  \
+        var = member_offset((PyTypeObject *)st, name);                    \
+        if (var < 0)                                                      \
+            return NULL;                                                  \
+    } while (0)
 
     W_OFF(w_uid, "uid");
+    W_OFF(w_klass, "klass");
+    W_OFF(w_source, "source");
     W_OFF(w_ctime, "creation_time");
     W_OFF(w_path, "path");
     W_OFF(w_H, "H");
@@ -1924,6 +2707,7 @@ cstep_configure(PyObject *self, PyObject *args)
     W_OFF(w_ptr, "ptr");
     W_OFF(w_mlen, "message_length");
     W_OFF(w_clones, "clone_positions");
+    W_OFF(w_trans, "transaction");
     W_OFF(w_blocked, "blocked_on");
     W_OFF(w_done, "done");
     Q_OFF(q_next, "next_time");
@@ -1937,8 +2721,16 @@ cstep_configure(PyObject *self, PyObject *args)
     Q_OFF(q_overflow, "_overflow");
     Q_OFF(q_seq, "_seq");
     Q_OFF(q_now, "_now");
+    S_OFF(ls_n, "_n");
+    S_OFF(ls_mean, "_mean");
+    S_OFF(ls_m2, "_m2");
+    S_OFF(ls_min, "_min");
+    S_OFF(ls_max, "_max");
+    S_OFF(ls_samples, "_samples");
+    S_OFF(ls_keep, "keep_samples");
 #undef W_OFF
 #undef Q_OFF
+#undef S_OFF
 
     Py_INCREF(wt);
     Py_XSETREF(worm_type, (PyTypeObject *)wt);
@@ -1946,6 +2738,10 @@ cstep_configure(PyObject *self, PyObject *args)
     Py_XSETREF(queue_type, (PyTypeObject *)qt);
     Py_INCREF(hp);
     Py_XSETREF(heappush_fn, hp);
+    Py_INCREF(uk);
+    Py_XSETREF(unicast_klass, uk);
+    Py_INCREF(st);
+    Py_XSETREF(stats_type, (PyTypeObject *)st);
     ev_request_c = evq;
     ev_release_c = evr;
     ev_inject_c = evi;
@@ -1960,8 +2756,9 @@ cstep_configure(PyObject *self, PyObject *args)
 static PyMethodDef cstep_methods[] = {
     {"configure", cstep_configure, METH_VARARGS,
      "configure(Worm, EventQueue, heappush, EV_REQUEST, EV_RELEASE, "
-     "EV_INJECT, trim, fifo_compact)\n\nResolve slot offsets against the "
-     "live classes; must be called before run_events/inject."},
+     "EV_INJECT, trim, fifo_compact, WormClass.UNICAST, LatencyStats)\n\n"
+     "Resolve slot offsets against the live classes; must be called "
+     "before run_events/inject."},
     {"run_events", cstep_run_events, METH_VARARGS,
      "run_events(engine, horizon, max_events, arrivals) -> (fired, "
      "bounced)\n\nNative fused dispatch loop; bounced=True means the "
@@ -2010,10 +2807,19 @@ PyInit__cstep(void)
     INTERN(s_next_time, "next_time");
     INTERN(s_fire, "fire");
 #undef INTERN
+    if (PyType_Ready(&PStream_Type) < 0)
+        return NULL;
     m = PyModule_Create(&cstep_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddIntConstant(m, "BUILD_ABI", 1) < 0) {
+    Py_INCREF(&PStream_Type);
+    if (PyModule_AddObject(m, "PoissonStream", (PyObject *)&PStream_Type) <
+        0) {
+        Py_DECREF(&PStream_Type);
+        Py_DECREF(m);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(m, "BUILD_ABI", 2) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -25,13 +25,9 @@ the same scalar draws in the same global order, so the realisation is
 bit-identical, but the per-arrival cost drops to one small-heap update and
 a list append (no closure, no traffic through the main event heap).  Ties
 between two sources at the same timestamp break by generation order,
-mirroring the legacy scheduler's sequence numbers.  A fully vectorised
-per-source block draw (``rng.exponential(size=B)``) is faster still but
-*changes the interleaving* -- and therefore the realisation -- so it is
-never the default: it is the opt-in
-:class:`VectorizedPoissonArrivalStream`, gated behind
-``SimConfig(arrival_mode="vectorized")`` and validated statistically
-instead of bitwise.
+mirroring the legacy scheduler's sequence numbers.  Drawing per-source
+blocks (``rng.exponential(size=B)``) would *change the interleaving* --
+and therefore the realisation -- so every stream here draws scalars.
 
 The block arrays also pre-resolve destinations (uniform integer draw with
 the self-exclusion shift, or CDF inversion for weighted patterns), so the
@@ -48,6 +44,17 @@ at injection, so a freshly spawned worm fast-forwards against the *next*
 arrival, not the one being consumed), and ties between an event and an
 arrival at the same timestamp fire the event first -- both properties
 are pinned by the calendar/heap differential suite.
+
+Native twin (compiled kernel)
+-----------------------------
+Under ``kernel="c"`` the simulator replaces :class:`PoissonArrivalStream`
+with ``repro.sim._cstep.PoissonStream``, which keeps the same per-source
+head-heap and draws from the same Generator with numpy's own
+distribution functions, one arrival at a time as it fires -- the same
+draws in the same order, so the same bits.  The dispatch loop consumes
+it inline.  This class stays as the compiler-free path and as the
+oracle the native stream is checked against (at import by
+:mod:`repro.sim.cext`, and by ``tests/test_native_arrivals.py``).
 """
 
 from __future__ import annotations
@@ -58,8 +65,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["PoissonArrivalStream", "VectorizedPoissonArrivalStream",
-           "MergedArrivalStream", "ARRIVAL_MODES", "make_arrival_stream"]
+__all__ = ["PoissonArrivalStream", "MergedArrivalStream"]
 
 #: destination placeholder marking a multicast arrival
 MULTICAST = -1
@@ -233,102 +239,6 @@ class PoissonArrivalStream:
         return self.next_time
 
 
-class VectorizedPoissonArrivalStream(PoissonArrivalStream):
-    """Arrival stream with numpy-vectorised draws (opt-in).
-
-    Same arrival *process* as :class:`PoissonArrivalStream` -- per-node
-    Poisson sources merged in time order with the identical tie-break --
-    but the random numbers are drawn in blocks: each source's
-    inter-arrival gaps come from one ``rng.exponential(scale, size=B)``
-    call consumed lazily, and a refill's unicast destination draws are
-    one ``rng.integers``/``rng.random`` array instead of one scalar call
-    per arrival.  Per-arrival cost drops from a numpy scalar-draw call
-    (~1 us) to a list index.
-
-    **This changes the order the shared generator is consumed in**, so
-    for a fixed seed the realisation differs from the legacy stream --
-    same distribution, different sample path.  Golden-seed fingerprints
-    and the legacy bit-compatibility contract therefore only hold for
-    the default stream; this one is gated behind
-    ``SimConfig(arrival_mode="vectorized")`` / ``--arrival-mode`` and is
-    checked statistically (rate, destination uniformity, gap moments)
-    rather than bitwise.
-    """
-
-    __slots__ = ("_gap_buffers", "_gap_block")
-
-    def __init__(self, *args, gap_block: int = 256, **kwargs) -> None:
-        if gap_block < 1:
-            raise ValueError(f"gap_block must be >= 1, got {gap_block}")
-        # set before super().__init__: the base constructor ends with a
-        # _refill(), which our override services from these buffers
-        self._gap_buffers: dict[int, list] = {}
-        self._gap_block = gap_block
-        super().__init__(*args, **kwargs)
-
-    def _gap(self, source: int, scale: float) -> float:
-        """Next inter-arrival gap for ``source`` (a tagged node id),
-        drawn from that source's pre-generated block."""
-        buf = self._gap_buffers.get(source)
-        if buf is None or buf[1] >= len(buf[0]):
-            buf = [self._rng.exponential(scale, size=self._gap_block).tolist(), 0]
-            self._gap_buffers[source] = buf
-        i = buf[1]
-        buf[1] = i + 1
-        return buf[0][i]
-
-    def _refill(self) -> None:
-        heads = self._heads
-        if not heads:
-            self.next_time = math.inf
-            self._count = 0
-            self._idx = 0
-            return
-        order = self._order
-        size = self._next_block
-        self._next_block = min(size * 2, self._block)
-        times: list[float] = []
-        nodes: list[int] = []
-        dests: list[int] = []
-        uni_pos: list[int] = []
-        uni_nodes: list[int] = []
-        for _ in range(size):
-            t, _o, node, scale = heads[0]
-            if node >= 0:
-                uni_pos.append(len(times))
-                uni_nodes.append(node)
-                nodes.append(node)
-                dests.append(0)  # patched from the block draw below
-            else:
-                nodes.append(~node)
-                dests.append(MULTICAST)
-            times.append(t)
-            heapreplace(heads, (t + self._gap(node, scale), order, node, scale))
-            order += 1
-        if uni_pos:
-            n = self._num_nodes
-            cdfs = self._dest_cdfs
-            if cdfs is None:
-                raw = self._rng.integers(0, n - 1, size=len(uni_pos))
-                # vectorised self-exclusion shift: same mapping as the
-                # scalar "if dest >= node: dest += 1"
-                shifted = raw + (raw >= np.asarray(uni_nodes))
-                for pos, dest in zip(uni_pos, shifted.tolist()):
-                    dests[pos] = dest
-            else:
-                draws = self._rng.random(size=len(uni_pos)).tolist()
-                for pos, node, r in zip(uni_pos, uni_nodes, draws):
-                    dest = int(np.searchsorted(cdfs[node], r, side="right"))
-                    dests[pos] = min(dest, n - 1)
-        self._order = order
-        self._times = times
-        self._nodes = nodes
-        self._dests = dests
-        self._idx = 0
-        self._count = len(times)
-        self.next_time = times[0]
-
-
 class MergedArrivalStream(PoissonArrivalStream):
     """Merged arrivals with a pluggable per-source gap process.
 
@@ -403,21 +313,3 @@ class MergedArrivalStream(PoissonArrivalStream):
         self._idx = 0
         self._count = len(times)
         self.next_time = times[0]
-
-
-#: ``SimConfig.arrival_mode`` values -> arrival stream implementation
-ARRIVAL_MODES = {
-    "legacy": PoissonArrivalStream,
-    "vectorized": VectorizedPoissonArrivalStream,
-}
-
-
-def make_arrival_stream(mode: str, *args, **kwargs) -> PoissonArrivalStream:
-    """Build the arrival stream for ``mode`` (an :data:`ARRIVAL_MODES` key)."""
-    try:
-        cls = ARRIVAL_MODES[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown arrival mode {mode!r}; known: {sorted(ARRIVAL_MODES)}"
-        ) from None
-    return cls(*args, **kwargs)

@@ -10,26 +10,45 @@ directly.
 
 The import itself goes through :func:`repro.native.load_optional`,
 shared with the model's compiled loop.  ``configure`` then hands the
-extension the actual :class:`~repro.sim.worm.Worm` and
-:class:`~repro.sim.engine.EventQueue` classes so it can resolve their
-``__slots__`` member offsets at runtime -- the C code never hard-codes a
-struct layout, so an interpreter or class-layout change degrades to
-"extension unavailable" rather than corruption.  Any failure during
-import *or* configuration is recorded as the reason string surfaced in
-run provenance and ``python -m repro kernels``.
+extension the actual :class:`~repro.sim.worm.Worm`,
+:class:`~repro.sim.engine.EventQueue` and
+:class:`~repro.sim.measurement.LatencyStats` classes so it can resolve
+their ``__slots__`` member offsets at runtime -- the C code never
+hard-codes a struct layout, so an interpreter or class-layout change
+degrades to "extension unavailable" rather than corruption.  Any failure
+during import *or* configuration is recorded as the reason string
+surfaced in run provenance and ``python -m repro kernels``.
+
+The extension also carries the native Poisson arrival stream
+(``_cstep.PoissonStream``), which draws from the run's numpy Generator
+with the distribution functions of the numpy it was built against.
+Before it is offered, :func:`_check_native_arrivals` replays a short
+interleaved draw sequence through it and through
+:class:`~repro.sim.arrivals.PoissonArrivalStream` on same-seed
+Generators; if the numpy running now draws different bits, only the
+native stream is turned off (:func:`native_arrivals_reason` says why)
+and the rest of the compiled kernel stays on.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from types import ModuleType
+from typing import Any, Optional
 
 from repro.native import load_optional
 
-__all__ = ["available", "unavailable_reason", "module"]
+__all__ = [
+    "available",
+    "unavailable_reason",
+    "module",
+    "native_arrivals",
+    "native_arrivals_reason",
+]
 
-_MOD = None
+_MOD: Optional[ModuleType] = None
 _imported, _ERROR = load_optional("repro.sim._cstep")
+_ARRIVALS_ERROR: Optional[str] = _ERROR
 
 if _imported is not None:
     try:
@@ -40,8 +59,9 @@ if _imported is not None:
             EV_REQUEST,
             EventQueue,
         )
+        from repro.sim.measurement import LatencyStats
         from repro.sim.state import _FIFO_COMPACT
-        from repro.sim.worm import Worm
+        from repro.sim.worm import Worm, WormClass
 
         _imported.configure(
             Worm,
@@ -52,11 +72,57 @@ if _imported is not None:
             EV_INJECT,
             _TRIM,
             _FIFO_COMPACT,
+            WormClass.UNICAST,
+            LatencyStats,
         )
     except Exception as exc:  # pragma: no cover - layout-drift safety net
-        _ERROR = f"configure failed ({exc!r})"
+        _ERROR = _ARRIVALS_ERROR = f"configure failed ({exc!r})"
     else:
         _MOD = _imported
+
+
+def _check_native_arrivals(mod: ModuleType) -> Optional[str]:
+    """None when ``mod.PoissonStream`` reproduces
+    :class:`~repro.sim.arrivals.PoissonArrivalStream` on this numpy,
+    else the reason it does not.
+
+    Both streams fire the same 15 arrivals from same-seed Generators,
+    once with uniform and once with weighted destinations, so the
+    integer, exponential and uniform draws all interleave.
+    """
+    import numpy as np
+
+    from repro.sim.arrivals import PoissonArrivalStream
+
+    weights = np.array([[0.0, 0.1, 0.2, 0.3, 0.4]] * 5)
+    for cdfs in (None, list(np.cumsum(weights, axis=1))):
+        logs: tuple[list[Any], list[Any]] = ([], [])
+        streams = (
+            PoissonArrivalStream(
+                np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
+                lambda *a: logs[0].append(a), block=16,
+            ),
+            mod.PoissonStream(
+                np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
+                lambda *a: logs[1].append(a),
+            ),
+        )
+        for stream in streams:
+            for _ in range(15):
+                stream.fire(stream.next_time)
+        if logs[0] != logs[1]:
+            return (
+                f"numpy {np.__version__} draws differently from the "
+                "libnpyrandom the extension was built with"
+            )
+    return None
+
+
+if _MOD is not None:
+    try:
+        _ARRIVALS_ERROR = _check_native_arrivals(_MOD)
+    except Exception as exc:  # pragma: no cover - build-drift safety net
+        _ARRIVALS_ERROR = f"self-check failed ({exc!r})"
 
 
 def available() -> bool:
@@ -69,6 +135,18 @@ def unavailable_reason() -> Optional[str]:
     return _ERROR
 
 
-def module():
+def module() -> Optional[ModuleType]:
     """The configured extension module, or None."""
     return _MOD
+
+
+def native_arrivals() -> Optional[type]:
+    """The native Poisson stream type, or None when it is off."""
+    if _MOD is None or _ARRIVALS_ERROR is not None:
+        return None
+    return _MOD.PoissonStream
+
+
+def native_arrivals_reason() -> Optional[str]:
+    """Why the native Poisson stream is off (None when it is on)."""
+    return _ARRIVALS_ERROR

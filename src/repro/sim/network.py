@@ -37,11 +37,12 @@ from repro.core.flows import TrafficSpec
 from repro.faults import FaultSpec, QoSSpec
 from repro.monitors import Monitor, build_monitors
 from repro.routing.base import RoutingAlgorithm
+from repro.sim import cext
 from repro.sim.arrivals import MULTICAST
 from repro.sim.measurement import LatencyStats
 from repro.sim.trace import ChannelUtilizationTracer, CompositeTracer
 from repro.sim.worm import Worm, WormClass
-from repro.sim.wormengine import KERNELS
+from repro.sim.wormengine import KERNELS, CWormEngine
 from repro.topology.base import Topology
 from repro.traffic.sources import DEFAULT_SOURCE, SourceSpec
 
@@ -109,11 +110,6 @@ class SimConfig:
     max_in_flight: Optional[int] = None
     #: events between bookkeeping checks
     check_interval: int = 4096
-    #: arrival pre-generation: "legacy" replays the scalar draw order
-    #: bit-exactly (the golden-seed contract); "vectorized" draws
-    #: per-source numpy blocks -- same process, different sample path
-    #: for a fixed seed (see :mod:`repro.sim.arrivals`)
-    arrival_mode: str = "legacy"
 
     def resolved_max_in_flight(self, num_nodes: int) -> int:
         if self.max_in_flight is not None:
@@ -706,7 +702,12 @@ class NocSimulator:
         self.lanes = lanes
         self.dateline_tags = dateline_tags
         self.graph = ChannelGraph(topology, routing, one_port=one_port)
-        self._unicast_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # unicast engine-channel tuples indexed source * N + dest, filled
+        # pair by pair on first use (by _unicast_channels, or by the
+        # compiled kernel's native spawn through it)
+        self._unicast_routes: list[Optional[tuple[int, ...]]] = [
+            None
+        ] * (topology.num_nodes ** 2)
         # multicast worm templates keyed by the destination-set content: a
         # sweep (or replication batch) re-runs the same sets at many rates
         # and must not pay the routing walk per run
@@ -758,12 +759,15 @@ class NocSimulator:
         return link.dst > link.src
 
     def _unicast_channels(self, source: int, dest: int) -> tuple[int, ...]:
-        key = (source, dest)
-        cached = self._unicast_cache.get(key)
+        n = self.topology.num_nodes
+        if not (0 <= source < n and 0 <= dest < n):
+            raise ValueError(f"unicast pair ({source}, {dest}) outside nodes 0..{n - 1}")
+        index = source * n + dest
+        cached = self._unicast_routes[index]
         if cached is None:
             route = self.routing.unicast_route(source, dest)
             cached = self._route_engine_channels(route)
-            self._unicast_cache[key] = cached
+            self._unicast_routes[index] = cached
         return cached
 
     def _multicast_templates(
@@ -883,7 +887,8 @@ class NocSimulator:
         lam_m = spec.multicast_rate
         warmup = config.warmup_cycles
         mtemplates = self._multicast_templates(spec) if lam_m > 0.0 else {}
-        next_uid = itertools.count(1).__next__
+        uids = itertools.count(1)
+        next_uid = uids.__next__
 
         # per-source destination CDFs (weighted patterns only; the uniform
         # default keeps the cheap integer-draw fast path)
@@ -990,10 +995,32 @@ class NocSimulator:
                 arrival_log.append((t, node, dest))
                 spawn(t, node, dest)
 
-        arrivals = source.make_stream(
-            rng, n, lam_u, lam_m, sorted(mtemplates), dest_cdfs, emit,
-            arrival_mode=config.arrival_mode,
+        # the one place the native arrival path is chosen: the compiled
+        # kernel is armed and the timing is Poisson (the default, or a
+        # hotspot over it).  It spawns unicasts and folds their stats in
+        # C only when the closure and the tracer above are the stock ones
+        timing = source.base if source.kind == "hotspot" else source
+        native_stream = (
+            cext.native_arrivals()
+            if isinstance(engine, CWormEngine) and engine.c_inactive_reason is None
+            and timing.kind == "poisson"
+            else None
         )
+        if native_stream is None:
+            arrivals = source.make_stream(
+                rng, n, lam_u, lam_m, sorted(mtemplates), dest_cdfs, emit
+            )
+        else:
+            arrivals = native_stream(
+                rng, n, lam_u, lam_m, sorted(mtemplates), dest_cdfs, emit
+            )
+            if ctx is None and arrival_log is None:
+                arrivals.spawn_unicast(
+                    self._unicast_routes, self._unicast_channels, uids, state,
+                    msg_len,
+                )
+            if type(tracer) is _StatsTracer:
+                arrivals.fold_unicast_stats(state)
 
         want_unicast = config.target_unicast_samples if lam_u > 0.0 else 0
         want_multicast = (

@@ -307,7 +307,6 @@ def run_scenario(
     cache: Optional[ResultStore] = None,
     adaptive: Optional[AdaptiveSettings] = None,
     derive_seeds: bool = True,
-    arrival_mode: str = "legacy",
 ) -> ScenarioResult:
     """Run one scenario end to end: model series + simulated sweep.
 
@@ -323,9 +322,7 @@ def run_scenario(
     result = ScenarioResult(
         scenario=scenario, saturation_rate=sat, points=points
     )
-    scfg = sim_config or budget_sim_config(
-        seed=scenario.seed, samples=samples, arrival_mode=arrival_mode
-    )
+    scfg = sim_config or budget_sim_config(seed=scenario.seed, samples=samples)
     tasks = scenario.tasks(sweep, scfg, derive_seeds=derive_seeds)
     if adaptive is None:
         for point, tres in zip(

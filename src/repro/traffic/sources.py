@@ -14,10 +14,12 @@ assumptions on purpose:
   implementations keyed by ``SourceSpec.kind``:
 
   ``poisson``
-      The legacy process, routed through the same
-      :func:`repro.sim.arrivals.make_arrival_stream` call the simulator
-      always made -- bitwise-identical to the frozen goldens by
+      The legacy process, the same
+      :class:`repro.sim.arrivals.PoissonArrivalStream` the simulator
+      always built -- bitwise-identical to the frozen goldens by
       construction (and proven so by ``tests/test_traffic_refactor.py``).
+      Under the compiled kernel the simulator draws it natively instead
+      (``_cstep.PoissonStream``, same bits; see :mod:`repro.sim.cext`).
   ``cbr``
       Deterministic constant-bit-rate: each source emits exactly every
       ``1/rate`` cycles, offset by a per-source phase drawn once at
@@ -45,8 +47,8 @@ Determinism contract: every source draws all of its randomness from the
 run's single seeded generator in merge order (see
 :class:`repro.sim.arrivals.MergedArrivalStream`), so a fixed seed gives
 one fixed arrival realisation on every kernel -- including ``kernel="c"``,
-which calls back into the Python-side stream exactly as PR 6 left it --
-and on every executor.
+which calls back into the Python-side stream of every non-Poisson
+source -- and on every executor.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.arrivals import MergedArrivalStream, make_arrival_stream
+from repro.sim.arrivals import MergedArrivalStream, PoissonArrivalStream
 from repro.workloads.patterns import hotspot_weights
 
 __all__ = [
@@ -266,15 +268,13 @@ class SourceSpec:
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
         """Build this spec's arrival stream (the engine-facing
         ``ArrivalSource`` duck type -- trace replay shares no base
         class with the generated streams, so the static type is open)."""
         return self.source.make_stream(
             self, rng, num_nodes, unicast_rate, multicast_rate,
-            multicast_nodes, dest_cdfs, spawn, arrival_mode=arrival_mode,
+            multicast_nodes, dest_cdfs, spawn,
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -336,20 +336,8 @@ class TrafficSource:
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
         raise NotImplementedError
-
-    @staticmethod
-    def _require_legacy_mode(spec: SourceSpec, arrival_mode: str) -> None:
-        # the vectorized block-draw path exists only for the Poisson
-        # process; refusing loudly beats silently ignoring the request
-        if arrival_mode != "legacy":
-            raise ValueError(
-                f"arrival_mode={arrival_mode!r} is only available for the "
-                f"poisson source, not {spec.label!r}"
-            )
 
 
 class PoissonSource(TrafficSource):
@@ -370,13 +358,10 @@ class PoissonSource(TrafficSource):
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
-        # the exact call NocSimulator.run always made: same factory,
-        # same argument order, same rng -- bitwise-identical realisation
-        return make_arrival_stream(
-            arrival_mode,
+        # the stream NocSimulator.run always built: same argument order,
+        # same rng -- bitwise-identical realisation
+        return PoissonArrivalStream(
             rng, num_nodes, unicast_rate, multicast_rate,
             multicast_nodes, dest_cdfs, spawn,
         )
@@ -407,10 +392,7 @@ class CBRSource(TrafficSource):
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
-        self._require_legacy_mode(spec, arrival_mode)
         return CBRArrivalStream(
             rng, num_nodes, unicast_rate, multicast_rate,
             multicast_nodes, dest_cdfs, spawn, jitter=spec.cbr_jitter,
@@ -459,10 +441,7 @@ class OnOffSource(TrafficSource):
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
-        self._require_legacy_mode(spec, arrival_mode)
         return OnOffArrivalStream(
             rng, num_nodes, unicast_rate, multicast_rate,
             multicast_nodes, dest_cdfs, spawn,
@@ -511,14 +490,12 @@ class HotspotSource(TrafficSource):
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
         # destination skew acts through dest_cdfs (built by the caller
         # from unicast_weights); the timing process is the base's
         return spec.base.make_stream(
             rng, num_nodes, unicast_rate, multicast_rate,
-            multicast_nodes, dest_cdfs, spawn, arrival_mode=arrival_mode,
+            multicast_nodes, dest_cdfs, spawn,
         )
 
 
@@ -546,10 +523,7 @@ class TraceSource(TrafficSource):
         multicast_nodes: Sequence[int],
         dest_cdfs: Optional[list[np.ndarray]],
         spawn: Callable[[float, int, int], None],
-        *,
-        arrival_mode: str = "legacy",
     ) -> Any:
-        self._require_legacy_mode(spec, arrival_mode)
         from repro.traffic.trace import TraceArrivalStream
 
         return TraceArrivalStream.from_file(

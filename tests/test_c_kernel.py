@@ -15,8 +15,10 @@ to theirs.  This suite attacks the boundary from every side:
   must silently hand the run to Python and still match it bitwise;
 * the ``"auto"`` policy regression: it must never name ``"c"`` when the
   extension is not built;
-* the opt-in vectorized arrival mode's statistical contract, and proof
-  that the default arrival path is bitwise untouched.
+* the Poisson arrival stream's statistical contract (Python and native
+  streams), and proof that the default arrival path is bitwise
+  untouched.  ``tests/test_native_arrivals.py`` pins the native stream
+  to the Python one bit for bit.
 
 Tests marked ``requires_c`` skip cleanly on a build without the
 extension (the compiler-free CI job); everything else runs everywhere.
@@ -29,14 +31,11 @@ import pytest
 from repro.core.flows import TrafficSpec
 from repro.routing import MeshRouting, QuarcRouting
 from repro.sim import (
-    ARRIVAL_MODES,
     KERNELS,
     NocSimulator,
     PoissonArrivalStream,
     SimConfig,
-    VectorizedPoissonArrivalStream,
     cext,
-    make_arrival_stream,
     resolve_auto_kernel,
 )
 from repro.sim.engine import EventQueue, HeapEventQueue
@@ -270,6 +269,27 @@ def test_unbuilt_extension_falls_back(monkeypatch):
 
 
 @requires_c
+def test_hook_error_survives_the_window_exit():
+    """An exception raised by a hook inside a native window must reach
+    the caller as itself, even when the window's attribute restore
+    misses the interpreter's type cache (a lookup that, with the error
+    still pending, used to swallow it into a SystemError)."""
+    import sys
+
+    class _Failing:
+        def on_complete(self, worm, t_done, recovered):
+            sys._clear_type_cache()
+            raise ValueError("hook failed")
+
+    for _ in range(20):
+        engine = CWormEngine(6, EventQueue(), _Failing())
+        engine.inject(Worm(1, WormClass.UNICAST, 0, 0.0, (0, 1, 2), 4), 0.0,
+                      fast=False)
+        with pytest.raises(ValueError, match="hook failed"):
+            engine.run_events(1e9, None, None)
+
+
+@requires_c
 def test_uncoercible_horizon_falls_back():
     engine = CWormEngine(6, EventQueue())
     for worm in _line_worms(count=5):
@@ -413,7 +433,11 @@ def test_kernels_cli_keeps_the_real_import_error():
 
 
 # --------------------------------------------------------------------- #
-# vectorized arrival mode: statistical contract, default untouched
+# the Poisson arrival stream: statistical contract, default untouched
+
+#: stream implementations: the Python stream replaying the legacy scalar
+#: draw order, and its native twin (None when the extension is off)
+STREAMS = {"legacy": PoissonArrivalStream, "native": cext.native_arrivals()}
 
 
 def _stream_pair(mode, seed, *, num_nodes=16, rate=0.02, mcast_rate=0.002):
@@ -421,17 +445,19 @@ def _stream_pair(mode, seed, *, num_nodes=16, rate=0.02, mcast_rate=0.002):
 
     rng = np.random.default_rng(seed)
     out = []
-    stream = make_arrival_stream(
-        mode, rng, num_nodes, rate, mcast_rate, list(range(0, num_nodes, 4)),
+    stream = STREAMS[mode](
+        rng, num_nodes, rate, mcast_rate, list(range(0, num_nodes, 4)),
         None, lambda t, node, dest: out.append((t, node, dest)),
     )
     return stream, out
 
 
-@pytest.mark.parametrize("mode", sorted(ARRIVAL_MODES))
+@pytest.mark.parametrize("mode", sorted(STREAMS))
 def test_arrival_stream_contract(mode):
     """Both stream implementations must deliver a merged, time-ordered
     per-node Poisson process with self-excluding uniform destinations."""
+    if STREAMS[mode] is None:
+        pytest.skip(f"native stream off: {cext.native_arrivals_reason()}")
     count = 20_000
     stream, out = _stream_pair(mode, seed=42)
     for _ in range(count):
@@ -440,7 +466,6 @@ def test_arrival_stream_contract(mode):
     assert times == sorted(times)
     assert all(dest != node for _, node, dest in out)
     uni = [(node, dest) for _, node, dest in out if dest >= 0]
-    mcast = sum(1 for _, _, dest in out if dest < 0)
     # per-node unicast rate: 16 nodes at 0.02 vs 4 sources at 0.002
     expected_uni_share = (16 * 0.02) / (16 * 0.02 + 4 * 0.002)
     share = len(uni) / count
@@ -458,56 +483,17 @@ def test_arrival_stream_contract(mode):
     assert hi < 1.5 * lo
 
 
-def test_vectorized_mode_statistically_matches_legacy():
-    """Full simulations: same scenario, both arrival modes -- different
-    sample paths, matching statistics."""
-    topo = QuarcTopology(16)
-    routing = QuarcRouting(topo)
-    spec = TrafficSpec(0.004, 0.0, 32)
-    results = {}
-    for mode in ("legacy", "vectorized"):
-        config = SimConfig(seed=11, warmup_cycles=1_000.0,
-                           target_unicast_samples=800,
-                           target_multicast_samples=0,
-                           max_cycles=500_000.0, arrival_mode=mode)
-        results[mode] = NocSimulator(topo, routing).run(spec, config)
-    legacy, vec = results["legacy"], results["vectorized"]
-    assert legacy.target_met and vec.target_met
-    # different realisation...
-    assert legacy.unicast.mean != vec.unicast.mean
-    # ...same distribution: the scenario's latency mean is tight
-    rel = abs(legacy.unicast.mean - vec.unicast.mean) / legacy.unicast.mean
-    assert rel < 0.05, rel
-    gen_rel = abs(legacy.generated_messages - vec.generated_messages)
-    assert gen_rel / legacy.generated_messages < 0.1
-
-
 def test_default_arrival_path_is_bitwise_untouched():
-    """The default config must still route through the legacy stream and
-    reproduce the frozen golden fingerprint exactly."""
+    """The default config must reproduce the frozen golden fingerprint
+    exactly, on whichever stream the resolved kernel drives."""
     from test_golden_seed import GOLDEN
 
-    assert SimConfig().arrival_mode == "legacy"
-    assert ARRIVAL_MODES["legacy"] is PoissonArrivalStream
-    assert ARRIVAL_MODES["vectorized"] is VectorizedPoissonArrivalStream
     build, make_spec, config, want = GOLDEN["quarc16-unicast"]
-    assert config.arrival_mode == "legacy"
     topo, routing = build()
     result = NocSimulator(topo, routing).run(make_spec(routing), config)
     assert result.unicast.mean == want["unicast"][0]
     assert result.sim_time == want["sim_time"]
     assert result.events == want["events"]
-
-
-def test_unknown_arrival_mode_rejected():
-    with pytest.raises(ValueError, match="unknown arrival mode"):
-        make_arrival_stream("turbo", None, 4, 1.0, 0.0, [], None, None)
-    topo = QuarcTopology(16)
-    routing = QuarcRouting(topo)
-    with pytest.raises(ValueError, match="unknown arrival mode"):
-        NocSimulator(topo, routing).run(
-            TrafficSpec(0.004, 0.0, 32), SimConfig(arrival_mode="turbo")
-        )
 
 
 # --------------------------------------------------------------------- #

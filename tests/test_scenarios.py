@@ -156,7 +156,6 @@ SIM_CONFIG_PERTURBATIONS = {
     "max_cycles": 3_000_000.0,
     "max_in_flight": 123,
     "check_interval": 2048,
-    "arrival_mode": "vectorized",
 }
 
 SOURCE_PERTURBATIONS = {

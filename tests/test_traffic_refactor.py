@@ -1,17 +1,18 @@
 """Bitwise refactor guard for the traffic-source subsystem.
 
 The arrivals pipeline was re-layered in the traffic-source PR: the
-simulator now always consumes arrivals through
+simulator consumes arrivals through
 :class:`~repro.traffic.sources.SourceSpec` /
-``TrafficSource.make_stream`` instead of calling
-:func:`~repro.sim.arrivals.make_arrival_stream` directly.  The Poisson
-default must be a *pure* refactor -- not one draw reordered, not one
-float different.  This file pins that three ways:
+``TrafficSource.make_stream`` (or, under the compiled kernel, through
+the native twin of the Poisson stream) instead of constructing
+:class:`~repro.sim.arrivals.PoissonArrivalStream` directly.  The
+Poisson default must be a *pure* refactor -- not one draw reordered,
+not one float different.  This file pins that three ways:
 
-* **stream differential** -- the legacy constructor and the layered
-  path, driven from identically seeded generators over the A/B
-  scenario parameter space, must emit the identical ``(t, node, dest)``
-  sequence, in both arrival modes;
+* **stream differential** -- the legacy constructor (and the native
+  stream) and the layered path, driven from identically seeded
+  generators over the A/B scenario parameter space, must emit the
+  identical ``(t, node, dest)`` sequence;
 * **sim differential** -- a run with the implicit default source and a
   run with an explicit ``SourceSpec()`` must fingerprint identically on
   every registered kernel, across the calendar-queue A/B scenario
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.orchestration import SimTask
-from repro.sim import KERNELS, NocSimulator, SimConfig, cext, make_arrival_stream
+from repro.sim import KERNELS, NocSimulator, PoissonArrivalStream, SimConfig, cext
 from repro.traffic.sources import DEFAULT_SOURCE, SourceSpec
 
 from test_calendar_queue import AB_SCENARIOS, _eq_fp, _fingerprint
@@ -67,9 +68,16 @@ def _drive_stream(build, seed: int, count: int) -> list:
     return log
 
 
-@pytest.mark.parametrize("mode", ["legacy", "vectorized"])
+#: direct stream constructors: the legacy Python stream and its native
+#: twin (None when the extension is off)
+DIRECT = {"legacy": PoissonArrivalStream, "native": cext.native_arrivals()}
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECT))
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_stream_layer_is_bitwise_transparent(case, mode):
+    if DIRECT[mode] is None:
+        pytest.skip(f"native stream off: {cext.native_arrivals_reason()}")
     params = dict(STREAM_CASES[case])
     n = params["n"]
     cdfs = None
@@ -82,15 +90,15 @@ def test_stream_layer_is_bitwise_transparent(case, mode):
             cdfs.append(np.cumsum(p / p.sum()))
 
     def legacy(rng, spawn):
-        return make_arrival_stream(
-            mode, rng, n, params["lam_u"], params["lam_m"],
+        return DIRECT[mode](
+            rng, n, params["lam_u"], params["lam_m"],
             sorted(params["mnodes"]), cdfs, spawn,
         )
 
     def layered(rng, spawn):
         return SourceSpec().make_stream(
             rng, n, params["lam_u"], params["lam_m"],
-            sorted(params["mnodes"]), cdfs, spawn, arrival_mode=mode,
+            sorted(params["mnodes"]), cdfs, spawn,
         )
 
     for seed in (0, 11, 2009):
@@ -117,21 +125,6 @@ def test_default_source_explicit_source_bitwise(name):
             name, kernel,
         )
         assert implicit.source == explicit.source == "poisson"
-
-
-def test_vectorized_mode_still_flows_through_the_layer():
-    """arrival_mode='vectorized' reaches the layered Poisson path."""
-    build, make_spec, _config = AB_SCENARIOS["quarc16-light"]
-    topo, routing = build()
-    spec = make_spec(routing)
-    config = SimConfig(
-        seed=11, warmup_cycles=1_000.0, target_unicast_samples=400,
-        target_multicast_samples=80, max_cycles=400_000.0,
-        arrival_mode="vectorized",
-    )
-    implicit = NocSimulator(topo, routing).run(spec, config)
-    explicit = NocSimulator(topo, routing).run(spec, config, source=SourceSpec())
-    assert _eq_fp(_fingerprint(explicit), _fingerprint(implicit))
 
 
 # --------------------------------------------------------------------- #

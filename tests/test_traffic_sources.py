@@ -7,9 +7,8 @@ Three layers of contract:
   rate while inflating variance, hotspot skews destinations by the
   declared factor, traces replay byte-for-byte) and is seed-
   deterministic;
-* **spec level** -- :class:`SourceSpec` validates its parameters,
-  round-trips through dicts/JSON, and rejects the vectorized arrival
-  mode for any non-Poisson process instead of silently ignoring it;
+* **spec level** -- :class:`SourceSpec` validates its parameters and
+  round-trips through dicts/JSON;
 * **executor level** -- the same seeded task produces the identical
   result through the serial, process-pool and distributed executors,
   for every source kind (the determinism clause the cache and the
@@ -54,7 +53,6 @@ def collect(
     mnodes: tuple = (),
     cdfs=None,
     count: int = 300,
-    mode: str = "legacy",
 ) -> list:
     """Drive a source's stream for ``count`` arrivals -> [(t, node, dest)]."""
     rng = np.random.default_rng(seed)
@@ -62,7 +60,6 @@ def collect(
     stream = spec.make_stream(
         rng, num_nodes, lam_u, lam_m, sorted(mnodes), cdfs,
         lambda t, node, dest: log.append((t, node, dest)),
-        arrival_mode=mode,
     )
     while len(log) < count and stream.pending:
         stream.fire(stream.next_time)
@@ -298,27 +295,6 @@ class TestSpec:
         assert NON_POISSON["onoff-exp"].label == "onoff"
         assert NON_POISSON["onoff-pareto"].label == "onoff-pareto"
         assert NON_POISSON["hotspot"].label == "hotspot(poisson)"
-
-    @pytest.mark.parametrize("name", ["cbr", "onoff-exp", "onoff-pareto"])
-    def test_vectorized_mode_rejected(self, name):
-        with pytest.raises(ValueError, match="vectorized"):
-            collect(NON_POISSON[name], mode="vectorized", count=1)
-
-    def test_vectorized_mode_rejected_through_hotspot_base(self):
-        spec = SourceSpec(
-            kind="hotspot", base=NON_POISSON["onoff-exp"],
-            hotspots=(0,), hotspot_factor=2.0,
-        )
-        with pytest.raises(ValueError, match="vectorized"):
-            collect(spec, mode="vectorized", count=1)
-
-    def test_poisson_vectorized_mode_allowed(self):
-        # hotspot-over-Poisson included: the skew lives in the dest
-        # CDFs, so the timing process is still plain Poisson
-        log = collect(DEFAULT_SOURCE, mode="vectorized", count=50)
-        assert len(log) >= 50
-        log = collect(NON_POISSON["hotspot"], mode="vectorized", count=50)
-        assert len(log) >= 50
 
 
 class TestSeededDeterminism:
