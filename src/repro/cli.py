@@ -897,7 +897,11 @@ def cmd_kernels(args) -> int:
               f"{AUTO_KERNEL_DEPTH} observed pending events, {deep} at or above")
     print("all kernels are bit-identical; the choice only affects speed")
     reason = cext.native_arrivals_reason()
-    print("native Poisson arrivals: " + ("on" if reason is None else f"off -- {reason}"))
+    print(
+        "native arrivals: "
+        + (f"on ({', '.join(cext.NATIVE_PROCESSES)})" if reason is None
+           else f"off -- {reason}")
+    )
     built, reason = native_fixed_point_status()
     if built:
         print("native Eq. 6 fixed point: built (bit-identical to the numpy loop)")

@@ -23,20 +23,20 @@
  *    event-budget local, the fast-forward interference limit).  Keep
  *    them in sync with wormengine.py.
  *
- * 3. PYTHON CALLOUTS FOR EVERYTHING COLD.  The default Poisson arrivals
- *    are the one hot path that leaves Python: the native PoissonStream
- *    below draws them from the run's own numpy Generator (numpy's own
- *    distribution functions through the bit generator's capsule, so
- *    the draws are numpy's bits), and the loop builds and injects each
- *    unicast worm and folds its completion into LatencyStats itself
- *    when the run armed it (stock spawn closure, stock stats tracer).
- *    Multicast and non-stock spawns, other arrival sources, EV_CALL
- *    payloads, segment refills, overflow heap pushes, deadlock recovery
- *    and the remaining on_clone/on_complete hooks call back into
- *    Python.  The engine's _remaining/_arr_next window attrs are synced
- *    before any callout that can observe them, and re-read afterwards,
- *    at exactly the program points the Python loop reads its own
- *    attributes.
+ * 3. PYTHON CALLOUTS FOR EVERYTHING COLD.  Generated arrivals (Poisson,
+ *    CBR and ON/OFF timing) are the one hot path that leaves Python:
+ *    the native ArrivalStream below draws them from the run's own numpy
+ *    Generator (numpy's own distribution functions through the bit
+ *    generator's capsule, so the draws are numpy's bits), and the loop
+ *    builds and injects each unicast worm and folds its completion into
+ *    LatencyStats itself when the run armed it (stock spawn closure,
+ *    stock stats tracer).  Multicast and non-stock spawns, trace
+ *    replay, EV_CALL payloads, segment refills, overflow heap pushes,
+ *    deadlock recovery and the remaining on_clone/on_complete hooks
+ *    call back into Python.  The engine's _remaining/_arr_next window
+ *    attrs are synced before any callout that can observe them, and
+ *    re-read afterwards, at exactly the program points the Python loop
+ *    reads its own attributes.
  *
  * 4. BOUNCE WHAT YOU DO NOT MODEL.  Timestamps at or beyond 2^52 (where
  *    C double->int window arithmetic could diverge from Python's
@@ -330,25 +330,36 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* native Poisson arrivals (repro.sim.arrivals.PoissonArrivalStream)   */
+/* native arrivals (repro.sim.arrivals.PoissonArrivalStream and the     */
+/* CBRArrivalStream / OnOffArrivalStream of repro.traffic.sources)      */
 
 static Py_ssize_t member_offset(PyTypeObject *tp, const char *name);
 
 /* one source head: the tuple (t, order, src, scale) of the Python heap;
- * src is the node for a unicast source and ~node for a multicast one */
+ * src is the node for a unicast source and ~node for a multicast one.
+ * An ON/OFF source carries its current ON window [ws, we] along
+ * (OnOffArrivalStream._windows[src]). */
 typedef struct {
     double t;
     long long order;
     long src;
     double scale;
+    double ws, we;
 } Head;
 
 /* repro.sim.arrivals.MULTICAST: the destination of a multicast arrival */
 #define MULTICAST_DEST (-1L)
 
+/* the gap process: SourceSpec.kind of the run's timing */
+enum { PROC_POISSON, PROC_CBR, PROC_ONOFF };
+
 typedef struct {
     PyObject_HEAD
     double next_time;
+    int process;             /* PROC_* */
+    double jitter;           /* CBR: phase window / period */
+    double on_mean, off_mean, duty, alpha; /* ON/OFF */
+    int pareto;              /* ON/OFF: Pareto (else exponential) windows */
     bitgen_t *bitgen;        /* the run Generator's bit generator */
     PyObject *bit_generator; /* owns *bitgen */
     PyObject *spawn;         /* spawn(t, node, dest) */
@@ -365,9 +376,9 @@ typedef struct {
     PyObject *spawn_state;   /* run state whose `generated` counts */
     /* run state whose unicast completions fold natively; NULL: off */
     PyObject *stats_state;
-} PStream;
+} AStream;
 
-static PyTypeObject PStream_Type;
+static PyTypeObject AStream_Type;
 
 /* heapq's tuple order: orders are unique, so (t, order) decides */
 static inline int
@@ -418,7 +429,7 @@ heap_siftup(Head *h, Py_ssize_t endpos, Py_ssize_t pos)
  * min(int(np.searchsorted(cdfs[node], rng.random(), side="right")),
  * n - 1) -- numpy's own draws, numpy's NaN-aware binary search */
 static long
-ps_draw_dest(PStream *s, long node)
+as_draw_dest(AStream *s, long node)
 {
     long n = s->n, dest;
     if (s->cdf == NULL) {
@@ -451,29 +462,86 @@ ps_draw_dest(PStream *s, long node)
     }
 }
 
+/* OnOffArrivalStream._duration */
+static double
+as_duration(AStream *s, double mean)
+{
+    if (mean <= 0.0)
+        return 0.0;
+    if (s->pareto) {
+        /* Pareto(alpha, xm) with E = xm * alpha / (alpha - 1) = mean */
+        double xm = mean * (s->alpha - 1.0) / s->alpha;
+        return xm * (1.0 + random_pareto(s->bitgen, s->alpha));
+    }
+    return random_exponential(s->bitgen, mean);
+}
+
+/* OnOffArrivalStream._arrival_after over the head's own window */
+static double
+as_arrival_after(AStream *s, Head *h, double t)
+{
+    /* scale is 1/nominal-rate; ON-rate = rate/duty => ON-scale = scale*duty */
+    double gap = random_exponential(s->bitgen, h->scale * s->duty);
+    double pos = t > h->ws ? t : h->ws;
+    while (pos + gap > h->we) {
+        /* carry the memoryless residual across the OFF window */
+        gap -= h->we - pos;
+        h->ws = h->we + as_duration(s, s->off_mean);
+        h->we = h->ws + as_duration(s, s->on_mean);
+        pos = h->ws;
+    }
+    return pos + gap;
+}
+
+/* the _initial_time of each stream class, for the head h of scale */
+static void
+as_initial_time(AStream *s, Head *h, double scale)
+{
+    h->scale = scale;
+    if (s->process == PROC_POISSON)
+        h->t = random_exponential(s->bitgen, scale);
+    else if (s->process == PROC_CBR)
+        /* drawn even at jitter 0 */
+        h->t = random_standard_uniform(s->bitgen) * (scale * s->jitter);
+    else {
+        h->ws = random_standard_uniform(s->bitgen) * (s->on_mean + s->off_mean);
+        h->we = h->ws + as_duration(s, s->on_mean);
+        h->t = as_arrival_after(s, h, -INFINITY);
+    }
+}
+
 /* Consume the head arrival: its destination draw (unicast), then its
- * source's next gap, then heapreplace -- one step of _refill, taken at
+ * source's next time, then heapreplace -- one step of _refill, taken at
  * the moment the arrival fires.  The caller guarantees nheads > 0. */
 static void
-ps_pop(PStream *s, long *node, long *dest)
+as_pop(AStream *s, long *node, long *dest)
 {
     Head *h = &s->heads[0];
     if (h->src >= 0) {
         *node = h->src;
-        *dest = ps_draw_dest(s, h->src);
+        *dest = as_draw_dest(s, h->src);
     }
     else {
         *node = ~h->src;
         *dest = MULTICAST_DEST;
     }
-    h->t = h->t + random_exponential(s->bitgen, h->scale);
+    if (s->process == PROC_POISSON) /* the hot path stays first */
+        h->t = h->t + random_exponential(s->bitgen, h->scale);
+    else if (s->process == PROC_CBR)
+        h->t = h->t + h->scale;
+    else {
+        /* MergedArrivalStream._refill: t + _next_gap(...), whose ON/OFF
+         * gap is _arrival_after(...) - t */
+        double t = h->t;
+        h->t = t + (as_arrival_after(s, h, t) - t);
+    }
     h->order = s->order++;
     heap_siftup(s->heads, s->nheads, 0);
     s->next_time = s->heads[0].t;
 }
 
 static int
-ps_traverse(PStream *s, visitproc visit, void *arg)
+as_traverse(AStream *s, visitproc visit, void *arg)
 {
     Py_VISIT(s->bit_generator);
     Py_VISIT(s->spawn);
@@ -487,7 +555,7 @@ ps_traverse(PStream *s, visitproc visit, void *arg)
 }
 
 static int
-ps_clear(PStream *s)
+as_clear(AStream *s)
 {
     Py_CLEAR(s->bit_generator);
     Py_CLEAR(s->spawn);
@@ -502,10 +570,10 @@ ps_clear(PStream *s)
 }
 
 static void
-ps_dealloc(PStream *s)
+as_dealloc(AStream *s)
 {
     PyObject_GC_UnTrack(s);
-    ps_clear(s);
+    as_clear(s);
     PyMem_Free(s->heads);
     PyMem_Free(s->cdf);
     Py_TYPE(s)->tp_free((PyObject *)s);
@@ -513,7 +581,7 @@ ps_dealloc(PStream *s)
 
 /* copy dest_cdfs[0:n] -- n float64 rows of n -- into one C array */
 static int
-ps_load_cdfs(PStream *s, PyObject *cdfs)
+as_load_cdfs(AStream *s, PyObject *cdfs)
 {
     PyObject *seq = PySequence_Fast(cdfs, "dest_cdfs must be a sequence");
     Py_ssize_t r, n = s->n;
@@ -554,24 +622,125 @@ fail:
     return -1;
 }
 
-/* PoissonStream(rng, num_nodes, unicast_rate, multicast_rate,
- *               multicast_nodes, dest_cdfs, spawn) -- the constructor of
- * PoissonArrivalStream: one initial gap per unicast node in node order,
- * then one per multicast node in the given (sorted) order */
+/* float(obj) into *out.  The callers keep obj for their messages:
+ * the Python constructors print str(value), so an int stays an int */
+static int
+as_float(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* The gap process and its parameters, checked as the Python
+ * constructors check them before their first draw: CBRArrivalStream
+ * (jitter) and OnOffArrivalStream (on_mean, off_mean, tail, alpha).
+ * Parameters of the other processes are ignored, as there. */
+static int
+as_set_process(AStream *s, const char *process, PyObject *jitter,
+               PyObject *on_mean, PyObject *off_mean, PyObject *tail,
+               PyObject *alpha)
+{
+    if (strcmp(process, "poisson") == 0) {
+        s->process = PROC_POISSON;
+        return 0;
+    }
+    if (strcmp(process, "cbr") == 0) {
+        s->process = PROC_CBR;
+        s->jitter = 1.0;
+        if (jitter != NULL && as_float(jitter, &s->jitter))
+            return -1;
+        if (!(0.0 <= s->jitter && s->jitter <= 1.0)) {
+            PyErr_Format(PyExc_ValueError,
+                         "cbr jitter must be in [0, 1], got %S", jitter);
+            return -1;
+        }
+        return 0;
+    }
+    if (strcmp(process, "onoff") == 0) {
+        static const char *names[] = {"on_mean", "off_mean", "pareto_alpha"};
+        PyObject *objs[] = {on_mean, off_mean, alpha};
+        double *vals[] = {&s->on_mean, &s->off_mean, &s->alpha};
+        int i;
+        s->process = PROC_ONOFF;
+        if (on_mean == NULL || off_mean == NULL) {
+            PyErr_SetString(PyExc_TypeError,
+                            "process 'onoff' needs on_mean and off_mean");
+            return -1;
+        }
+        s->alpha = 1.5;
+        for (i = 0; i < 3; i++) {
+            if (objs[i] == NULL)
+                continue;
+            if (as_float(objs[i], vals[i]))
+                return -1;
+            if (!isfinite(*vals[i])) {
+                PyErr_Format(PyExc_ValueError, "%s must be finite, got %S",
+                             names[i], objs[i]);
+                return -1;
+            }
+        }
+        if (s->on_mean <= 0.0) {
+            PyErr_Format(PyExc_ValueError, "on_mean must be > 0, got %S",
+                         on_mean);
+            return -1;
+        }
+        if (s->off_mean < 0.0) {
+            PyErr_Format(PyExc_ValueError, "off_mean must be >= 0, got %S",
+                         off_mean);
+            return -1;
+        }
+        if (tail != NULL) { /* tail not in ("exp", "pareto") */
+            int is_str = PyUnicode_Check(tail);
+            s->pareto =
+                is_str && PyUnicode_CompareWithASCIIString(tail, "pareto") == 0;
+            if (!s->pareto &&
+                !(is_str && PyUnicode_CompareWithASCIIString(tail, "exp") == 0)) {
+                PyErr_Format(PyExc_ValueError,
+                             "on_tail must be 'exp' or 'pareto', got %R", tail);
+                return -1;
+            }
+        }
+        if (s->pareto && s->alpha <= 1.0) {
+            PyErr_Format(PyExc_ValueError, "pareto_alpha must be > 1, got %S",
+                         alpha);
+            return -1;
+        }
+        s->duty = s->on_mean / (s->on_mean + s->off_mean);
+        return 0;
+    }
+    PyErr_Format(PyExc_ValueError,
+                 "process must be 'poisson', 'cbr' or 'onoff', got '%s'",
+                 process);
+    return -1;
+}
+
+/* ArrivalStream(rng, num_nodes, unicast_rate, multicast_rate,
+ *               multicast_nodes, dest_cdfs, spawn, *, process="poisson",
+ *               jitter=1.0, on_mean, off_mean, tail="exp", alpha=1.5)
+ * -- the constructor of PoissonArrivalStream (process "poisson"),
+ * CBRArrivalStream ("cbr") or OnOffArrivalStream ("onoff"): one initial
+ * time per unicast node in node order, then one per multicast node in
+ * the given (sorted) order */
 static PyObject *
-ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+as_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"rng", "num_nodes", "unicast_rate",
                              "multicast_rate", "multicast_nodes",
-                             "dest_cdfs", "spawn", NULL};
+                             "dest_cdfs", "spawn", "process", "jitter",
+                             "on_mean", "off_mean", "tail", "alpha", NULL};
     PyObject *rng, *mnodes, *cdfs, *spawn, *cap = NULL, *mseq = NULL;
+    PyObject *jitter = NULL, *on_mean = NULL, *off_mean = NULL, *tail = NULL,
+             *alpha = NULL;
+    const char *process = "poisson";
     long n;
     double lam_u, lam_m;
     Py_ssize_t nu, nm, k = 0, i;
-    PStream *s;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OlddOOO:PoissonStream",
+    AStream *s;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OlddOOO|$sOOOOO:ArrivalStream",
                                      kwlist, &rng, &n, &lam_u, &lam_m,
-                                     &mnodes, &cdfs, &spawn))
+                                     &mnodes, &cdfs, &spawn, &process,
+                                     &jitter, &on_mean, &off_mean, &tail,
+                                     &alpha))
         return NULL;
     if (!PyCallable_Check(spawn)) {
         PyErr_SetString(PyExc_TypeError, "spawn must be callable");
@@ -584,7 +753,7 @@ ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     mseq = PySequence_Fast(mnodes, "multicast_nodes must be a sequence");
     if (mseq == NULL)
         return NULL;
-    s = (PStream *)type->tp_alloc(type, 0);
+    s = (AStream *)type->tp_alloc(type, 0);
     if (s == NULL) {
         Py_DECREF(mseq);
         return NULL;
@@ -593,6 +762,8 @@ ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     s->next_time = INFINITY;
     Py_INCREF(spawn);
     s->spawn = spawn;
+    if (as_set_process(s, process, jitter, on_mean, off_mean, tail, alpha))
+        goto fail;
     s->bit_generator = PyObject_GetAttrString(rng, "bit_generator");
     if (s->bit_generator == NULL)
         goto fail;
@@ -603,7 +774,7 @@ ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_DECREF(cap);
     if (s->bitgen == NULL)
         goto fail;
-    if (cdfs != Py_None && ps_load_cdfs(s, cdfs))
+    if (cdfs != Py_None && as_load_cdfs(s, cdfs))
         goto fail;
 
     nu = lam_u > 0.0 ? (Py_ssize_t)n : 0;
@@ -613,31 +784,23 @@ ps_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         goto fail;
     }
-    if (nu) {
-        double scale = 1.0 / lam_u;
-        for (i = 0; i < nu; i++, k++) {
-            s->heads[k].t = random_exponential(s->bitgen, scale);
-            s->heads[k].order = k;
-            s->heads[k].src = (long)i;
-            s->heads[k].scale = scale;
-        }
+    for (i = 0; i < nu; i++, k++) {
+        s->heads[k].order = k;
+        s->heads[k].src = (long)i;
+        as_initial_time(s, &s->heads[k], 1.0 / lam_u);
     }
-    if (nm) {
-        double scale = 1.0 / lam_m;
-        for (i = 0; i < nm; i++, k++) {
-            long node = PyLong_AsLong(PySequence_Fast_GET_ITEM(mseq, i));
-            if (node == -1 && PyErr_Occurred())
-                goto fail;
-            if (node < 0) { /* ~node must tag it as multicast */
-                PyErr_Format(PyExc_ValueError, "negative multicast node %ld",
-                             node);
-                goto fail;
-            }
-            s->heads[k].t = random_exponential(s->bitgen, scale);
-            s->heads[k].order = k;
-            s->heads[k].src = ~node;
-            s->heads[k].scale = scale;
+    for (i = 0; i < nm; i++, k++) {
+        long node = PyLong_AsLong(PySequence_Fast_GET_ITEM(mseq, i));
+        if (node == -1 && PyErr_Occurred())
+            goto fail;
+        if (node < 0) { /* ~node must tag it as multicast */
+            PyErr_Format(PyExc_ValueError, "negative multicast node %ld",
+                         node);
+            goto fail;
         }
+        s->heads[k].order = k;
+        s->heads[k].src = ~node;
+        as_initial_time(s, &s->heads[k], 1.0 / lam_m);
     }
     if (nu && n < 2) {
         /* what Generator.integers(0, n - 1) raises */
@@ -661,7 +824,7 @@ fail:
 /* fire(t) -> next_time: PoissonArrivalStream.fire -- advance first, then
  * spawn(t, node, dest) in Python (the native loop spawns inline) */
 static PyObject *
-ps_fire(PStream *s, PyObject *targ)
+as_fire(AStream *s, PyObject *targ)
 {
     long node, dest;
     PyObject *r;
@@ -669,7 +832,7 @@ ps_fire(PStream *s, PyObject *targ)
         PyErr_SetString(PyExc_IndexError, "fire() on an exhausted stream");
         return NULL;
     }
-    ps_pop(s, &node, &dest);
+    as_pop(s, &node, &dest);
     r = PyObject_CallFunction(s->spawn, "Oll", targ, node, dest);
     if (r == NULL)
         return NULL;
@@ -704,7 +867,7 @@ resolve_run_state(PyObject *state)
  * the native loop spawns unicast arrivals itself, exactly as the stock
  * NocSimulator.run closure does */
 static PyObject *
-ps_spawn_unicast(PStream *s, PyObject *args)
+as_spawn_unicast(AStream *s, PyObject *args)
 {
     PyObject *routes, *fill, *uids, *state, *mlen;
     if (!PyArg_ParseTuple(args, "O!OOOO:spawn_unicast", &PyList_Type,
@@ -737,7 +900,7 @@ ps_spawn_unicast(PStream *s, PyObject *args)
 /* fold_unicast_stats(run_state): unicast completions inside the native
  * loop update run_state as the stock _StatsTracer.on_complete does */
 static PyObject *
-ps_fold_unicast_stats(PStream *s, PyObject *state)
+as_fold_unicast_stats(AStream *s, PyObject *state)
 {
     if (resolve_run_state(state))
         return NULL;
@@ -747,50 +910,52 @@ ps_fold_unicast_stats(PStream *s, PyObject *state)
 }
 
 static PyObject *
-ps_pending(PStream *s, void *closure)
+as_pending(AStream *s, void *closure)
 {
     return PyBool_FromLong(s->nheads > 0);
 }
 
-static PyMethodDef ps_methods[] = {
-    {"fire", (PyCFunction)ps_fire, METH_O,
+static PyMethodDef as_methods[] = {
+    {"fire", (PyCFunction)as_fire, METH_O,
      "fire(t) -> next_time\n\nConsume the next arrival and pass it to "
      "spawn(t, node, dest)."},
-    {"spawn_unicast", (PyCFunction)ps_spawn_unicast, METH_VARARGS,
+    {"spawn_unicast", (PyCFunction)as_spawn_unicast, METH_VARARGS,
      "spawn_unicast(routes, route_fill, uids, run_state, message_length)"
      "\n\nSpawn unicast arrivals natively inside the dispatch loop."},
-    {"fold_unicast_stats", (PyCFunction)ps_fold_unicast_stats, METH_O,
+    {"fold_unicast_stats", (PyCFunction)as_fold_unicast_stats, METH_O,
      "fold_unicast_stats(run_state)\n\nFold unicast completions inside "
      "the dispatch loop into run_state's statistics natively."},
     {NULL, NULL, 0, NULL},
 };
 
-static PyMemberDef ps_members[] = {
-    {"next_time", T_DOUBLE, offsetof(PStream, next_time), READONLY,
+static PyMemberDef as_members[] = {
+    {"next_time", T_DOUBLE, offsetof(AStream, next_time), READONLY,
      "time of the next arrival (inf when there is none)"},
     {NULL, 0, 0, 0, NULL},
 };
 
-static PyGetSetDef ps_getset[] = {
-    {"pending", (getter)ps_pending, NULL,
+static PyGetSetDef as_getset[] = {
+    {"pending", (getter)as_pending, NULL,
      "True while the stream can still produce arrivals", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
-static PyTypeObject PStream_Type = {
+static PyTypeObject AStream_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._cstep.PoissonStream",
-    .tp_basicsize = sizeof(PStream),
-    .tp_dealloc = (destructor)ps_dealloc,
+    .tp_name = "repro.sim._cstep.ArrivalStream",
+    .tp_basicsize = sizeof(AStream),
+    .tp_dealloc = (destructor)as_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Merged per-node Poisson arrivals drawn natively from the "
-              "run's numpy Generator, bit for bit as PoissonArrivalStream.",
-    .tp_traverse = (traverseproc)ps_traverse,
-    .tp_clear = (inquiry)ps_clear,
-    .tp_methods = ps_methods,
-    .tp_members = ps_members,
-    .tp_getset = ps_getset,
-    .tp_new = ps_new,
+    .tp_doc = "Merged per-node Poisson, CBR or ON/OFF arrivals drawn "
+              "natively from the run's numpy Generator, bit for bit as "
+              "PoissonArrivalStream, CBRArrivalStream and "
+              "OnOffArrivalStream.",
+    .tp_traverse = (traverseproc)as_traverse,
+    .tp_clear = (inquiry)as_clear,
+    .tp_methods = as_methods,
+    .tp_members = as_members,
+    .tp_getset = as_getset,
+    .tp_new = as_new,
 };
 
 /* ------------------------------------------------------------------ */
@@ -807,7 +972,7 @@ typedef struct {
     PyObject *on_clone;   /* strong or NULL */
     PyObject *on_complete;/* strong or NULL */
     PyObject *arrivals;   /* strong or NULL */
-    PStream *ps;          /* arrivals when it is a native stream */
+    AStream *as;          /* arrivals when it is a native stream */
     long long span, qmask;
     double arr_next;      /* live mirror of engine._arr_next */
     double horizon;
@@ -932,7 +1097,7 @@ decline:
 /* Take a reference to the run's arrival source (None: no arrivals).
  *
  * NATIVE_HEAD: with the native stream the live arrival head is read
- * from the stream itself (c->ps->next_time), and the engine's _arr_next
+ * from the stream itself (c->as->next_time), and the engine's _arr_next
  * attr is not mirrored while the window runs: it only ever serves
  * WormEngine._grant_fast, and every Python path into that refreshes it
  * first (WormEngine.inject from arrivals.next_time, the Python loop at
@@ -944,8 +1109,8 @@ ctx_set_arrivals(Ctx *c, PyObject *arrivals)
         return;
     Py_INCREF(arrivals);
     c->arrivals = arrivals;
-    if (Py_TYPE(arrivals) == &PStream_Type)
-        c->ps = (PStream *)arrivals;
+    if (Py_TYPE(arrivals) == &AStream_Type)
+        c->as = (AStream *)arrivals;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1422,7 +1587,7 @@ static int
 ctx_complete(Ctx *c, PyObject *worm, double t_done)
 {
     PyObject *ct = slot_get(worm, w_ctime);
-    PyObject *state = c->ps != NULL ? c->ps->stats_state : NULL;
+    PyObject *state = c->as != NULL ? c->as->stats_state : NULL;
     if (state != NULL && slot_get(worm, w_klass) == unicast_klass &&
         ct != NULL && PyFloat_CheckExact(ct)) {
         PyObject *warmup, *stats;
@@ -1913,9 +2078,9 @@ ctx_inject(Ctx *c, PyObject *worm, double t, int fast)
         /* refresh the cached arrival head (see WormEngine.inject) */
         PyObject *nt;
         double d;
-        if (c->ps != NULL) {
+        if (c->as != NULL) {
             /* NATIVE_HEAD: read from the stream, attr not mirrored */
-            c->arr_next = c->ps->next_time;
+            c->arr_next = c->as->next_time;
             goto requested;
         }
         nt = PyObject_GetAttr(c->arrivals, s_next_time);
@@ -1996,7 +2161,7 @@ fail:
 static int
 ctx_spawn_unicast(Ctx *c, double t, long node, long dest)
 {
-    PStream *s = c->ps;
+    AStream *s = c->as;
     PyObject *uid, *path, *worm, *routes = s->routes;
     Py_ssize_t idx = (Py_ssize_t)node * s->n + dest;
     long long generated;
@@ -2476,13 +2641,13 @@ cstep_run_events(PyObject *self, PyObject *args)
             if (slot_set_double(c.events, q_now, arr_t))
                 goto fail;
             c.remaining -= 1;
-            if (c.ps != NULL) {
+            if (c.as != NULL) {
                 /* the native stream: PoissonArrivalStream.fire inline --
                  * advance, then spawn (natively for an armed unicast) */
                 long node, dest;
                 int inline_ok = 0;
-                ps_pop(c.ps, &node, &dest);
-                if (dest != MULTICAST_DEST && c.ps->routes != NULL &&
+                as_pop(c.as, &node, &dest);
+                if (dest != MULTICAST_DEST && c.as->routes != NULL &&
                     ctx_injectable(&c, &inline_ok))
                     goto fail;
                 if (inline_ok) {
@@ -2492,7 +2657,7 @@ cstep_run_events(PyObject *self, PyObject *args)
                 else {
                     if (eng_set_ll(engine, s_remaining, c.remaining))
                         goto fail;
-                    res = PyObject_CallFunction(c.ps->spawn, "dll", arr_t,
+                    res = PyObject_CallFunction(c.as->spawn, "dll", arr_t,
                                                 node, dest);
                     if (res == NULL)
                         goto fail;
@@ -2502,7 +2667,7 @@ cstep_run_events(PyObject *self, PyObject *args)
                 }
                 /* NATIVE_HEAD: the engine's _arr_next attr is left as
                  * it is -- see the note at ctx_set_arrivals */
-                arr_t = c.arr_next = c.ps->next_time;
+                arr_t = c.arr_next = c.as->next_time;
                 continue;
             }
             if (eng_set_ll(engine, s_remaining, c.remaining))
@@ -2807,15 +2972,15 @@ PyInit__cstep(void)
     INTERN(s_next_time, "next_time");
     INTERN(s_fire, "fire");
 #undef INTERN
-    if (PyType_Ready(&PStream_Type) < 0)
+    if (PyType_Ready(&AStream_Type) < 0)
         return NULL;
     m = PyModule_Create(&cstep_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&PStream_Type);
-    if (PyModule_AddObject(m, "PoissonStream", (PyObject *)&PStream_Type) <
+    Py_INCREF(&AStream_Type);
+    if (PyModule_AddObject(m, "ArrivalStream", (PyObject *)&AStream_Type) <
         0) {
-        Py_DECREF(&PStream_Type);
+        Py_DECREF(&AStream_Type);
         Py_DECREF(m);
         return NULL;
     }

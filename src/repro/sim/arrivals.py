@@ -48,11 +48,13 @@ are pinned by the calendar/heap differential suite.
 Native twin (compiled kernel)
 -----------------------------
 Under ``kernel="c"`` the simulator replaces :class:`PoissonArrivalStream`
-with ``repro.sim._cstep.PoissonStream``, which keeps the same per-source
-head-heap and draws from the same Generator with numpy's own
+and the CBR and ON/OFF :class:`MergedArrivalStream` subclasses of
+:mod:`repro.traffic.sources` with ``repro.sim._cstep.ArrivalStream``,
+which keeps the same per-source head-heap (an ON/OFF head carries its
+window along) and draws from the same Generator with numpy's own
 distribution functions, one arrival at a time as it fires -- the same
 draws in the same order, so the same bits.  The dispatch loop consumes
-it inline.  This class stays as the compiler-free path and as the
+it inline.  These classes stay as the compiler-free path and as the
 oracle the native stream is checked against (at import by
 :mod:`repro.sim.cext`, and by ``tests/test_native_arrivals.py``).
 """

@@ -19,12 +19,14 @@ degrades to "extension unavailable" rather than corruption.  Any failure
 during import *or* configuration is recorded as the reason string
 surfaced in run provenance and ``python -m repro kernels``.
 
-The extension also carries the native Poisson arrival stream
-(``_cstep.PoissonStream``), which draws from the run's numpy Generator
+The extension also carries the native arrival stream
+(``_cstep.ArrivalStream``) for the generated timing processes in
+:data:`NATIVE_PROCESSES`, which draws from the run's numpy Generator
 with the distribution functions of the numpy it was built against.
-Before it is offered, :func:`_check_native_arrivals` replays a short
-interleaved draw sequence through it and through
-:class:`~repro.sim.arrivals.PoissonArrivalStream` on same-seed
+Before it is offered, :func:`_check_native_arrivals` replays short
+interleaved draw sequences through it and through the Python streams
+(:class:`~repro.sim.arrivals.PoissonArrivalStream` and the CBR and
+ON/OFF streams of :mod:`repro.traffic.sources`) on same-seed
 Generators; if the numpy running now draws different bits, only the
 native stream is turned off (:func:`native_arrivals_reason` says why)
 and the rest of the compiled kernel stays on.
@@ -39,12 +41,17 @@ from typing import Any, Optional
 from repro.native import load_optional
 
 __all__ = [
+    "NATIVE_PROCESSES",
     "available",
     "unavailable_reason",
     "module",
     "native_arrivals",
     "native_arrivals_reason",
 ]
+
+#: the ``SourceSpec.kind`` timings the native stream draws (its
+#: ``process`` argument); a hotspot over any of them draws natively too
+NATIVE_PROCESSES = ("poisson", "cbr", "onoff")
 
 _MOD: Optional[ModuleType] = None
 _imported, _ERROR = load_optional("repro.sim._cstep")
@@ -82,39 +89,53 @@ if _imported is not None:
 
 
 def _check_native_arrivals(mod: ModuleType) -> Optional[str]:
-    """None when ``mod.PoissonStream`` reproduces
-    :class:`~repro.sim.arrivals.PoissonArrivalStream` on this numpy,
-    else the reason it does not.
+    """None when ``mod.ArrivalStream`` reproduces the Python streams on
+    this numpy, else the reason it does not.
 
-    Both streams fire the same 15 arrivals from same-seed Generators,
-    once with uniform and once with weighted destinations, so the
-    integer, exponential and uniform draws all interleave.
+    For each gap process -- Poisson, CBR at jitter 0 and 1, ON/OFF with
+    exponential and with Pareto windows (the latter reaches libm's
+    ``expm1``) -- both streams fire the same 15 arrivals from same-seed
+    Generators, once with uniform and once with weighted destinations,
+    so the integer, exponential, uniform and Pareto draws all
+    interleave.  The short ON/OFF windows make every source cross
+    several of them.
     """
     import numpy as np
 
     from repro.sim.arrivals import PoissonArrivalStream
+    from repro.traffic.sources import CBRArrivalStream, OnOffArrivalStream
 
+    # (Python stream, native process, the parameters both take)
+    onoff = {"on_mean": 2.0, "off_mean": 3.0}
+    processes: tuple[tuple[Any, str, dict[str, Any]], ...] = (
+        (PoissonArrivalStream, "poisson", {}),
+        (CBRArrivalStream, "cbr", {"jitter": 0.0}),
+        (CBRArrivalStream, "cbr", {"jitter": 1.0}),
+        (OnOffArrivalStream, "onoff", onoff),
+        (OnOffArrivalStream, "onoff", {**onoff, "tail": "pareto", "alpha": 1.5}),
+    )
     weights = np.array([[0.0, 0.1, 0.2, 0.3, 0.4]] * 5)
-    for cdfs in (None, list(np.cumsum(weights, axis=1))):
-        logs: tuple[list[Any], list[Any]] = ([], [])
-        streams = (
-            PoissonArrivalStream(
-                np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
-                lambda *a: logs[0].append(a), block=16,
-            ),
-            mod.PoissonStream(
-                np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
-                lambda *a: logs[1].append(a),
-            ),
-        )
-        for stream in streams:
-            for _ in range(15):
-                stream.fire(stream.next_time)
-        if logs[0] != logs[1]:
-            return (
-                f"numpy {np.__version__} draws differently from the "
-                "libnpyrandom the extension was built with"
+    for python_type, process, params in processes:
+        for cdfs in (None, list(np.cumsum(weights, axis=1))):
+            logs: tuple[list[Any], list[Any]] = ([], [])
+            streams = (
+                python_type(
+                    np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
+                    lambda *a: logs[0].append(a), block=16, **params,
+                ),
+                mod.ArrivalStream(
+                    np.random.default_rng(2009), 5, 0.3, 0.1, [1, 3], cdfs,
+                    lambda *a: logs[1].append(a), process=process, **params,
+                ),
             )
+            for stream in streams:
+                for _ in range(15):
+                    stream.fire(stream.next_time)
+            if logs[0] != logs[1]:
+                return (
+                    f"numpy {np.__version__} draws differently from the "
+                    "libnpyrandom the extension was built with"
+                )
     return None
 
 
@@ -141,12 +162,12 @@ def module() -> Optional[ModuleType]:
 
 
 def native_arrivals() -> Optional[type]:
-    """The native Poisson stream type, or None when it is off."""
+    """The native arrival stream type, or None when it is off."""
     if _MOD is None or _ARRIVALS_ERROR is not None:
         return None
-    return _MOD.PoissonStream
+    return _MOD.ArrivalStream
 
 
 def native_arrivals_reason() -> Optional[str]:
-    """Why the native Poisson stream is off (None when it is on)."""
+    """Why the native arrival stream is off (None when it is on)."""
     return _ARRIVALS_ERROR

@@ -996,14 +996,15 @@ class NocSimulator:
                 spawn(t, node, dest)
 
         # the one place the native arrival path is chosen: the compiled
-        # kernel is armed and the timing is Poisson (the default, or a
-        # hotspot over it).  It spawns unicasts and folds their stats in
-        # C only when the closure and the tracer above are the stock ones
+        # kernel is armed and the timing is generated (Poisson, CBR or
+        # ON/OFF, bare or under a hotspot).  It spawns unicasts and folds
+        # their stats in C only when the closure and the tracer above are
+        # the stock ones
         timing = source.base if source.kind == "hotspot" else source
         native_stream = (
             cext.native_arrivals()
             if isinstance(engine, CWormEngine) and engine.c_inactive_reason is None
-            and timing.kind == "poisson"
+            and timing.kind in cext.NATIVE_PROCESSES
             else None
         )
         if native_stream is None:
@@ -1012,7 +1013,10 @@ class NocSimulator:
             )
         else:
             arrivals = native_stream(
-                rng, n, lam_u, lam_m, sorted(mtemplates), dest_cdfs, emit
+                rng, n, lam_u, lam_m, sorted(mtemplates), dest_cdfs, emit,
+                process=timing.kind, jitter=timing.cbr_jitter,
+                on_mean=timing.on_mean, off_mean=timing.off_mean,
+                tail=timing.on_tail, alpha=timing.pareto_alpha,
             )
             if ctx is None and arrival_log is None:
                 arrivals.spawn_unicast(

@@ -19,7 +19,7 @@ assumptions on purpose:
       always built -- bitwise-identical to the frozen goldens by
       construction (and proven so by ``tests/test_traffic_refactor.py``).
       Under the compiled kernel the simulator draws it natively instead
-      (``_cstep.PoissonStream``, same bits; see :mod:`repro.sim.cext`).
+      (``_cstep.ArrivalStream``, same bits; see :mod:`repro.sim.cext`).
   ``cbr``
       Deterministic constant-bit-rate: each source emits exactly every
       ``1/rate`` cycles, offset by a per-source phase drawn once at
@@ -46,9 +46,11 @@ assumptions on purpose:
 Determinism contract: every source draws all of its randomness from the
 run's single seeded generator in merge order (see
 :class:`repro.sim.arrivals.MergedArrivalStream`), so a fixed seed gives
-one fixed arrival realisation on every kernel -- including ``kernel="c"``,
-which calls back into the Python-side stream of every non-Poisson
-source -- and on every executor.
+one fixed arrival realisation on every kernel and every executor.  Under
+``kernel="c"`` the simulator draws Poisson, CBR and ON/OFF timing (bare
+or under a hotspot) with the native ``_cstep.ArrivalStream`` instead,
+the same draws in the same order (see :mod:`repro.sim.cext`); a trace
+replays through its Python stream on every kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ __all__ = [
     "CBRArrivalStream",
     "OnOffArrivalStream",
 ]
+
+
+def _require_finite(**params: float) -> None:
+    """Reject NaN and infinities, which pass every ``<``/``<=`` range
+    check below (and which ``json`` reads from a scenario file)."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 # --------------------------------------------------------------------- #
@@ -135,6 +145,7 @@ class OnOffArrivalStream(MergedArrivalStream):
         alpha: float = 1.5,
         **kwargs: Any,
     ) -> None:
+        _require_finite(on_mean=on_mean, off_mean=off_mean, pareto_alpha=alpha)
         if on_mean <= 0.0:
             raise ValueError(f"on_mean must be > 0, got {on_mean}")
         if off_mean < 0.0:
@@ -403,6 +414,10 @@ class OnOffSource(TrafficSource):
     kind = "onoff"
 
     def validate(self, spec: SourceSpec) -> None:
+        _require_finite(
+            on_mean=spec.on_mean, off_mean=spec.off_mean,
+            pareto_alpha=spec.pareto_alpha,
+        )
         if spec.on_mean <= 0.0:
             raise ValueError(f"on_mean must be > 0, got {spec.on_mean}")
         if spec.off_mean < 0.0:
@@ -460,6 +475,7 @@ class HotspotSource(TrafficSource):
             raise ValueError("hotspot sources do not nest")
         if not spec.hotspots:
             raise ValueError("hotspot source needs at least one hotspot node")
+        _require_finite(hotspot_factor=spec.hotspot_factor)
         if spec.hotspot_factor < 1.0:
             raise ValueError(
                 f"hotspot_factor must be >= 1, got {spec.hotspot_factor}"

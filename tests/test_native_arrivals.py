@@ -1,24 +1,29 @@
-"""The native Poisson arrival path against its Python oracle, bit for bit.
+"""The native arrival path against its Python oracle, bit for bit.
 
-Under ``kernel="c"`` the simulator draws its default Poisson arrivals
-with ``repro.sim._cstep.PoissonStream`` and the dispatch loop spawns
-each unicast worm and folds its completion into the latency statistics
-natively.  :class:`~repro.sim.arrivals.PoissonArrivalStream`, the
-calendar kernel, ``_StatsTracer`` and ``LatencyStats.add`` stay as the
-oracle.  This suite attacks the boundary from both ends:
+Under ``kernel="c"`` the simulator draws its generated arrivals --
+Poisson, CBR and ON/OFF timing, bare or under a hotspot -- with
+``repro.sim._cstep.ArrivalStream``, and the dispatch loop spawns each
+unicast worm and folds its completion into the latency statistics
+natively.  :class:`~repro.sim.arrivals.PoissonArrivalStream`, the CBR
+and ON/OFF streams of :mod:`repro.traffic.sources`, the calendar kernel,
+``_StatsTracer`` and ``LatencyStats.add`` stay as the oracle.  This
+suite attacks the boundary from both ends:
 
-* stream level -- the native stream and the Python stream, fired from
-  same-seed Generators through the ``fire`` protocol, emit the same
-  ``(t, node, dest)`` sequence and leave the Generator in the same
-  state, across several of the Python stream's refill blocks;
+* stream level -- the native stream and the Python stream of every gap
+  process, fired from same-seed Generators through the ``fire``
+  protocol, emit the same ``(t, node, dest)`` sequence and leave the
+  Generator in the same state, across several of the Python stream's
+  refill blocks; the native constructor rejects what the Python
+  constructors reject, with the same message;
 * simulation level -- a randomized fuzz of ``c`` against ``calendar``
   (Quarc and mesh, lanes, one-port, multicast fractions, loads from idle
   through saturation and deadlock recovery, warmups, horizon cuts, small
-  in-flight caps, bookkeeping intervals), comparing the fingerprint, the
-  retained samples and the offered load, and proving the native path
-  ran;
-* the edges -- hotspot-over-Poisson and monitored runs, an arrival log,
-  a mid-run bounce to the Python loop, and the ``ValueError`` of an
+  in-flight caps, bookkeeping intervals, and a Poisson, CBR, ON/OFF or
+  hotspot source per trial), comparing the fingerprint, the retained
+  samples and the offered load, and proving the native path ran;
+* the edges -- hotspot and monitored runs, a trace replay (which keeps
+  its Python stream), arrival logs, mid-run bounces to the Python loop
+  (Poisson, and ON/OFF with its windows), and the ``ValueError`` of an
   impossible sample, raised identically on both statistics paths;
 * ``python -m repro kernels`` reporting the stream on, and off with the
   reason when the draws would differ.
@@ -41,7 +46,8 @@ from repro.sim.network import _RunState, _StatsTracer
 from repro.sim.worm import Worm, WormClass
 from repro.sim.wormengine import CWormEngine, WormEngine
 from repro.topology import MeshTopology, QuarcTopology
-from repro.traffic.sources import SourceSpec
+from repro.traffic.sources import CBRArrivalStream, OnOffArrivalStream, SourceSpec
+from repro.traffic.trace import write_trace
 from repro.workloads import random_multicast_sets
 
 from test_c_kernel import _kernels_report
@@ -51,7 +57,7 @@ NATIVE = cext.native_arrivals()
 
 pytestmark = pytest.mark.skipif(
     NATIVE is None,
-    reason=f"native Poisson stream off: {cext.native_arrivals_reason()}",
+    reason=f"native arrival stream off: {cext.native_arrivals_reason()}",
 )
 
 
@@ -76,19 +82,43 @@ STREAM_CASES = {
 }
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2009])
-@pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_stream_matches_the_python_stream(case, seed):
+#: name -> a generated timing other than Poisson; its Python stream is
+#: what ``spec.make_stream`` builds
+TIMINGS = {
+    "cbr-jitter0": SourceSpec(kind="cbr", cbr_jitter=0.0),
+    "cbr-jitter0.37": SourceSpec(kind="cbr", cbr_jitter=0.37),
+    "cbr-jitter1": SourceSpec(kind="cbr", cbr_jitter=1.0),
+    "onoff-exp": SourceSpec(kind="onoff"),
+    "onoff-no-off": SourceSpec(kind="onoff", off_mean=0.0),
+    "onoff-pareto": SourceSpec(kind="onoff", on_tail="pareto", pareto_alpha=1.5),
+}
+
+
+def _native_kw(timing):
+    """The keyword parameters NocSimulator.run gives the native stream."""
+    return dict(
+        process=timing.kind, jitter=timing.cbr_jitter, on_mean=timing.on_mean,
+        off_mean=timing.off_mean, tail=timing.on_tail, alpha=timing.pareto_alpha,
+    )
+
+
+def _streams(case, seed, timing=None):
+    """(python stream, its log, its rng, native stream, its log, its rng)"""
     n, lam_u, lam_m, mnodes, weighted = STREAM_CASES[case]
     cdfs = _cdfs(n, seed) if weighted else None
     rng_py, rng_c = np.random.default_rng(seed), np.random.default_rng(seed)
     log_py, log_c = [], []
-    py = PoissonArrivalStream(
-        rng_py, n, lam_u, lam_m, list(mnodes), cdfs,
-        lambda *a: log_py.append(a),
-    )
-    c = NATIVE(rng_c, n, lam_u, lam_m, list(mnodes), cdfs,
-               lambda *a: log_c.append(a))
+    args = (n, lam_u, lam_m, list(mnodes), cdfs)
+    if timing is None:
+        py = PoissonArrivalStream(rng_py, *args, lambda *a: log_py.append(a))
+        c = NATIVE(rng_c, *args, lambda *a: log_c.append(a))
+    else:
+        py = timing.make_stream(rng_py, *args, lambda *a: log_py.append(a))
+        c = NATIVE(rng_c, *args, lambda *a: log_c.append(a), **_native_kw(timing))
+    return py, log_py, rng_py, c, log_c, rng_c
+
+
+def _assert_same_stream(py, log_py, rng_py, c, log_c, rng_c):
     assert c.pending is py.pending is True
     # 6000 arrivals cross five of the Python stream's refill blocks
     for _ in range(6000):
@@ -102,6 +132,69 @@ def test_stream_matches_the_python_stream(case, seed):
         c.fire(c.next_time)
     assert log_c[6000:] == ahead
     assert rng_c.bit_generator.state == rng_py.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2009])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_stream_matches_the_python_stream(case, seed):
+    _assert_same_stream(*_streams(case, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2009])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+@pytest.mark.parametrize("timing", sorted(TIMINGS))
+def test_generated_stream_matches_the_python_stream(timing, case, seed):
+    streams = _streams(case, seed, TIMINGS[timing])
+    assert type(streams[0]) is (
+        CBRArrivalStream if timing.startswith("cbr") else OnOffArrivalStream
+    )
+    _assert_same_stream(*streams)
+
+
+_GOOD = {"on_mean": 200.0, "off_mean": 600.0}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "python_type, kw",
+    [
+        (CBRArrivalStream, {"jitter": -0.1}),
+        (CBRArrivalStream, {"jitter": 1.5}),
+        (CBRArrivalStream, {"jitter": _NAN}),
+        (OnOffArrivalStream, {**_GOOD, "on_mean": 0.0}),
+        (OnOffArrivalStream, {**_GOOD, "on_mean": -3}),
+        (OnOffArrivalStream, {**_GOOD, "on_mean": _NAN}),
+        (OnOffArrivalStream, {**_GOOD, "on_mean": _INF}),
+        (OnOffArrivalStream, {**_GOOD, "off_mean": -1.0}),
+        (OnOffArrivalStream, {**_GOOD, "off_mean": _INF}),
+        (OnOffArrivalStream, {**_GOOD, "off_mean": -_INF}),
+        (OnOffArrivalStream, {**_GOOD, "tail": "weibull"}),
+        (OnOffArrivalStream, {**_GOOD, "tail": "pareto", "alpha": 1.0}),
+        (OnOffArrivalStream, {**_GOOD, "tail": "pareto", "alpha": _NAN}),
+        (OnOffArrivalStream, {**_GOOD, "alpha": _INF}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(
+        f"{k}={v[k]}" for k in v if k not in _GOOD or v[k] != _GOOD[k]
+    ),
+)
+def test_native_constructor_raises_the_python_errors(python_type, kw):
+    process = "cbr" if python_type is CBRArrivalStream else "onoff"
+    rngs = np.random.default_rng(5), np.random.default_rng(5)
+    args = (8, 0.01, 0.0, [], None, lambda *a: None)
+    with pytest.raises(ValueError) as python_error:
+        python_type(rngs[0], *args, **kw)
+    with pytest.raises(ValueError) as native_error:
+        NATIVE(rngs[1], *args, process=process, **kw)
+    assert str(native_error.value) == str(python_error.value)
+    # both reject before their first draw
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[1].bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def test_native_constructor_rejects_an_unknown_process():
+    with pytest.raises(ValueError, match="process must be"):
+        NATIVE(np.random.default_rng(1), 8, 0.01, 0.0, [], None,
+               lambda *a: None, process="trace")
 
 
 def test_zero_rate_stream_is_exhausted():
@@ -140,8 +233,8 @@ def probe(monkeypatch):
         counts["unicast_worms"] += klass is WormClass.UNICAST
         worm_init(self, uid, klass, *args, **kwargs)
 
-    def factory(*args):
-        stream = NATIVE(*args)
+    def factory(*args, **kwargs):
+        stream = NATIVE(*args, **kwargs)
         counts["streams"].append(stream)
         return stream
 
@@ -180,8 +273,13 @@ def _pair(topo, routing, spec, config, probe, *, sim_kw=None, **run_kw):
     res = sim.run(spec, config, **run_kw)
     assert res.kernel == "c"
     assert len(probe["streams"]) == 1, "the native stream was not chosen"
-    assert probe["fire"] == 0, "PoissonArrivalStream.fire ran on the c kernel"
+    assert probe["fire"] == 0, "a Python stream fired on the c kernel"
     return res, cal, sim
+
+
+#: the fuzz's timing draws: Poisson and every TIMINGS variant
+FUZZ_TIMINGS = (SourceSpec(),) + tuple(TIMINGS[k] for k in sorted(TIMINGS))
+FUZZ_TRIALS = 60
 
 
 def _fuzz_case(trial):
@@ -222,13 +320,22 @@ def _fuzz_case(trial):
         max_in_flight=rnd.choice([None, None, 12, 60]),
         check_interval=rnd.choice([64, 4096]),
     )
-    return topo, routing, spec, config, sim_kw
+    source = rnd.choice(FUZZ_TIMINGS)
+    if rnd.random() < 0.3:
+        source = SourceSpec(
+            kind="hotspot", base=source,
+            hotspots=tuple(rnd.sample(range(n), rnd.randint(1, 2))),
+            hotspot_factor=rnd.choice([2.0, 8.0]),
+        )
+    return topo, routing, spec, config, sim_kw, source
 
 
-@pytest.mark.parametrize("trial", range(48))
+@pytest.mark.parametrize("trial", range(FUZZ_TRIALS))
 def test_randomized_c_vs_calendar(trial, probe):
-    topo, routing, spec, config, sim_kw = _fuzz_case(trial)
-    res, cal, _sim = _pair(topo, routing, spec, config, probe, sim_kw=sim_kw)
+    topo, routing, spec, config, sim_kw, source = _fuzz_case(trial)
+    res, cal, _sim = _pair(topo, routing, spec, config, probe, sim_kw=sim_kw,
+                           source=source)
+    assert res.source == source.label
     assert _eq_fp(_full_fingerprint(res), _full_fingerprint(cal)), trial
     # unicasts were spawned natively: no unicast Worm was built in Python
     assert probe["unicast_worms"] == 0
@@ -244,14 +351,18 @@ def test_randomized_c_vs_calendar(trial, probe):
 
 def test_fuzz_reaches_the_hard_regimes(probe):
     """The fuzz above must actually cover what it claims to."""
-    seen = {"recovered": 0, "saturated": 0, "target": 0, "multicast": 0}
-    for trial in range(48):
-        topo, routing, spec, config, sim_kw = _fuzz_case(trial)
-        res = NocSimulator(topo, routing, kernel="c", **sim_kw).run(spec, config)
+    seen = {"recovered": 0, "saturated": 0, "target": 0, "multicast": 0,
+            "poisson": 0, "cbr": 0, "onoff": 0, "hotspot": 0}
+    for trial in range(FUZZ_TRIALS):
+        topo, routing, spec, config, sim_kw, source = _fuzz_case(trial)
+        res = NocSimulator(topo, routing, kernel="c", **sim_kw).run(
+            spec, config, source=source
+        )
         seen["recovered"] += res.deadlock_recoveries > 0
         seen["saturated"] += res.saturated
         seen["target"] += res.target_met
         seen["multicast"] += res.multicast.count > 0
+        seen[source.kind] += 1
     assert all(count >= 3 for count in seen.values()), seen
 
 
@@ -309,6 +420,49 @@ def test_arrival_log_keeps_python_spawn(probe):
     assert probe["add"] == 0  # stock tracer: stats still fold natively
 
 
+@pytest.mark.parametrize("timing", ["cbr-jitter0.37", "onoff-pareto"])
+def test_arrival_log_with_generated_timing(timing, probe):
+    topo, routing = _quarc()
+    sets = random_multicast_sets(routing, group_size=4, seed=3)
+    spec = TrafficSpec(0.004, 0.1, 16, sets)
+    logs = {"c": [], "calendar": []}
+    cal = NocSimulator(topo, routing, kernel="calendar").run(
+        spec, _config(), source=TIMINGS[timing], arrival_log=logs["calendar"]
+    )
+    probe["reset"]()
+    res = NocSimulator(topo, routing, kernel="c").run(
+        spec, _config(), source=TIMINGS[timing], arrival_log=logs["c"]
+    )
+    assert len(probe["streams"]) == 1 and probe["fire"] == 0
+    assert logs["c"] == logs["calendar"] and logs["c"]
+    assert _eq_fp(_full_fingerprint(res), _full_fingerprint(cal))
+    assert probe["unicast_worms"] == res.generated_messages - sum(
+        dest < 0 for _t, _node, dest in logs["c"]
+    )  # Python spawn
+
+
+def test_trace_source_keeps_its_python_replay(probe, tmp_path):
+    """A trace has no native twin: the c kernel replays it through the
+    Python stream's fire and still matches the calendar run."""
+    topo, routing = _quarc()
+    spec = TrafficSpec(0.004, 0.0, 16)
+    recorded = []
+    NocSimulator(topo, routing, kernel="calendar").run(
+        spec, _config(), source=TIMINGS["onoff-exp"], arrival_log=recorded
+    )
+    path = tmp_path / "onoff.jsonl"
+    write_trace(path, topo.num_nodes, recorded)
+    source = SourceSpec(kind="trace", trace_path=str(path))
+    cal = NocSimulator(topo, routing, kernel="calendar").run(
+        spec, _config(), source=source
+    )
+    probe["reset"]()
+    res = NocSimulator(topo, routing, kernel="c").run(spec, _config(), source=source)
+    assert res.kernel == "c" and res.source == "trace"
+    assert probe["streams"] == [], "a trace must not take the native stream"
+    assert _eq_fp(_full_fingerprint(res), _full_fingerprint(cal))
+
+
 def test_route_table_fills_on_first_use_and_persists():
     topo, routing = _quarc(32)
     sim = NocSimulator(topo, routing, kernel="c")
@@ -325,9 +479,10 @@ def test_route_table_fills_on_first_use_and_persists():
     assert all(a is b for a, b in zip(before, sim._unicast_routes) if a is not None)
 
 
-def test_mid_run_bounce_continues_the_stream(probe, monkeypatch):
-    """Arrivals past 2^52 cycles bounce the C loop; the Python loop must
-    continue the same native stream and still match the calendar run."""
+def _bounced_pair(probe, monkeypatch, spec, config, source=None):
+    """(c result, calendar result) of a run whose arrivals pass 2^52
+    cycles, which bounces the C loop: the Python loop must continue the
+    same native stream and still match the calendar run."""
     windows = {"python": 0}
     python_loop = WormEngine.run_events
 
@@ -336,18 +491,36 @@ def test_mid_run_bounce_continues_the_stream(probe, monkeypatch):
         return python_loop(self, *args, **kwargs)
 
     topo, routing = _quarc(8)
-    spec = TrafficSpec(1e-15, 0.0, 8)
-    config = SimConfig(seed=3, warmup_cycles=0.0, target_unicast_samples=50,
-                       target_multicast_samples=0, max_cycles=1e17,
-                       check_interval=16)
-    cal = NocSimulator(topo, routing, kernel="calendar").run(spec, config)
+    cal = NocSimulator(topo, routing, kernel="calendar").run(
+        spec, config, source=source
+    )
     monkeypatch.setattr(WormEngine, "run_events", counted)
     probe["reset"]()
-    res = NocSimulator(topo, routing, kernel="c").run(spec, config)
+    res = NocSimulator(topo, routing, kernel="c").run(spec, config, source=source)
     assert len(probe["streams"]) == 1 and probe["fire"] == 0
     assert windows["python"] >= 1, "the run never bounced"
     assert res.sim_time > 2.0**52
     assert _eq_fp(_full_fingerprint(res), _full_fingerprint(cal))
+    return res, cal
+
+
+_BOUNCE_CONFIG = SimConfig(seed=3, warmup_cycles=0.0, target_unicast_samples=50,
+                           target_multicast_samples=0, max_cycles=1e17,
+                           check_interval=16)
+
+
+def test_mid_run_bounce_continues_the_stream(probe, monkeypatch):
+    _bounced_pair(probe, monkeypatch, TrafficSpec(1e-15, 0.0, 8), _BOUNCE_CONFIG)
+
+
+def test_mid_run_bounce_continues_the_onoff_windows(probe, monkeypatch):
+    """ON/OFF windows scaled to the 1e15-cycle gaps: every source crosses
+    several windows on both sides of the bounce, and the Python loop
+    carries on with the windows the C loop left in the heads."""
+    source = SourceSpec(kind="onoff", on_mean=2e15, off_mean=6e15)
+    res, _cal = _bounced_pair(probe, monkeypatch, TrafficSpec(1e-15, 0.0, 8),
+                              _BOUNCE_CONFIG, source)
+    assert res.source == "onoff" and res.unicast.count >= 50
 
 
 def _impossible_sample(engine_type, arrivals):
@@ -387,11 +560,11 @@ np.random.default_rng = lambda seed=None: _real(next(_seeds))
 
 def test_kernels_cli_reports_native_arrivals_on():
     out = _kernels_report("")
-    assert "native Poisson arrivals: on" in out
+    assert "native arrivals: on (poisson, cbr, onoff)" in out
 
 
 def test_kernels_cli_turns_only_the_stream_off_when_draws_differ():
     out = _kernels_report(_SKEWED_DRAWS)
-    assert "native Poisson arrivals: off -- numpy" in out
+    assert "native arrivals: off -- numpy" in out
     assert "draws differently" in out
     assert "compiled fast path: built" in out

@@ -16,6 +16,7 @@ Three layers of contract:
 """
 
 import dataclasses
+import json
 import math
 import statistics
 import subprocess
@@ -295,6 +296,78 @@ class TestSpec:
         assert NON_POISSON["onoff-exp"].label == "onoff"
         assert NON_POISSON["onoff-pareto"].label == "onoff-pareto"
         assert NON_POISSON["hotspot"].label == "hotspot(poisson)"
+
+
+_NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+#: field -> the spec it perturbs (ON/OFF knobs on an ON/OFF spec, the
+#: hotspot factor on a hotspot over Poisson)
+_FINITE_FIELDS = {
+    "on_mean": NON_POISSON["onoff-exp"],
+    "off_mean": NON_POISSON["onoff-exp"],
+    "pareto_alpha": NON_POISSON["onoff-pareto"],
+    "hotspot_factor": NON_POISSON["hotspot"],
+}
+
+
+class TestNonFiniteParameters:
+    """NaN passes every ``<``/``<=`` range check, and ``json`` reads it
+    from a scenario file; such a source used to run zero events and be
+    cached like any other.  It must fail closed wherever it enters."""
+
+    @pytest.mark.parametrize("value", _NONFINITE, ids=str)
+    @pytest.mark.parametrize("field", sorted(_FINITE_FIELDS))
+    def test_spec_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(_FINITE_FIELDS[field], **{field: value})
+
+    @pytest.mark.parametrize("field", sorted(_FINITE_FIELDS))
+    def test_dict_rejects(self, field):
+        data = _FINITE_FIELDS[field].as_dict()
+        data[field] = float("nan")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            source_from_dict(data)
+
+    def test_exp_tail_rejects_a_nonfinite_alpha_too(self):
+        with pytest.raises(ValueError, match="pareto_alpha must be finite"):
+            SourceSpec(kind="onoff", pareto_alpha=float("nan"))
+
+    def test_stream_constructor_rejects(self):
+        from repro.traffic.sources import OnOffArrivalStream
+
+        with pytest.raises(ValueError, match="on_mean must be finite"):
+            OnOffArrivalStream(
+                np.random.default_rng(0), 16, 0.004, 0.0, [], None,
+                lambda *a: None, on_mean=float("nan"), off_mean=600.0,
+            )
+
+    def test_scenario_json_with_nan_rejected(self, tmp_path):
+        from repro.traffic.scenarios import SCENARIOS, Scenario, resolve_scenario
+
+        data = SCENARIOS["onoff-bursty"].to_dict()
+        data["source"]["on_mean"] = float("nan")
+        text = json.dumps(data)
+        assert '"on_mean": NaN' in text  # what json writes and reads back
+        with pytest.raises(ValueError, match="on_mean must be finite"):
+            Scenario.from_json(text)
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="on_mean must be finite"):
+            resolve_scenario(str(path))
+
+    def test_valid_specs_keep_their_task_keys(self):
+        from repro.traffic.scenarios import SCENARIOS
+
+        pinned = {
+            "cbr-sync": "421a4276d220d3bac19e95f5d4bd973b",
+            "onoff-bursty": "e0915f8ea3103a7651aab32b7f79a955",
+            "onoff-pareto": "a071155f0df5adcc4b9413212cf0f872",
+            "hotspot-onoff": "26198cbdbdda417e182b22adb2b3209d",
+            "mesh-onoff": "c0ab229f4250d17f495ab70b01dd1d03",
+        }
+        for name, key in pinned.items():
+            task = SCENARIOS[name].task(0.004, SimConfig(seed=11))
+            assert task.task_key() == key, name
 
 
 class TestSeededDeterminism:
