@@ -501,7 +501,7 @@ def _bounced_pair(probe, monkeypatch, spec, config, source=None):
     assert windows["python"] >= 1, "the run never bounced"
     assert res.sim_time > 2.0**52
     assert _eq_fp(_full_fingerprint(res), _full_fingerprint(cal))
-    return res, cal
+    return res
 
 
 _BOUNCE_CONFIG = SimConfig(seed=3, warmup_cycles=0.0, target_unicast_samples=50,
@@ -514,12 +514,12 @@ def test_mid_run_bounce_continues_the_stream(probe, monkeypatch):
 
 
 def test_mid_run_bounce_continues_the_onoff_windows(probe, monkeypatch):
-    """ON/OFF windows scaled to the 1e15-cycle gaps: every source crosses
-    several windows on both sides of the bounce, and the Python loop
-    carries on with the windows the C loop left in the heads."""
-    source = SourceSpec(kind="onoff", on_mean=2e15, off_mean=6e15)
-    res, _cal = _bounced_pair(probe, monkeypatch, TrafficSpec(1e-15, 0.0, 8),
-                              _BOUNCE_CONFIG, source)
+    """ON/OFF windows scaled to the 1e15-cycle gaps, so the run spans
+    about four ON/OFF cycles, two of them past the bounce: the Python
+    loop carries on with the windows the C loop left in the heads."""
+    source = SourceSpec(kind="onoff", on_mean=5e14, off_mean=1.5e15)
+    res = _bounced_pair(probe, monkeypatch, TrafficSpec(1e-15, 0.0, 8),
+                        _BOUNCE_CONFIG, source)
     assert res.source == "onoff" and res.unicast.count >= 50
 
 
